@@ -34,7 +34,6 @@ from birank.exactla import AffineMatrixPoly, trailing_ones_matrix
 from birank.polyring import (
     Point,
     Polynomial,
-    monomial_count,
     monomial_split,
     poly_from_json,
     poly_to_json,
@@ -542,12 +541,6 @@ def _det_part_pairs(a: AffineMatrixPoly, k: int, r: int):
     for f, g in _det_part_pairs(a.delete_row_col(diff[0]), k, r):
         pairs.append((-f, g))
     return pairs
-
-
-def _pad_to_vars(p: Polynomial, num_vars: int) -> Polynomial:
-    if p.num_vars == num_vars:
-        return p
-    raise DecompositionError("variable count changed during recursion")
 
 
 def decompose_det_part(a: AffineMatrixPoly, k: int, r: int) -> BiDecomposition:

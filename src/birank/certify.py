@@ -28,8 +28,8 @@ from birank.exactla import ExactMatrix
 
 
 def to_float_array(m) -> np.ndarray:
-    """Square float64 array from an ExactMatrix, nested sequences, or an
-    ndarray."""
+    """Square float64 array of finite entries from an ExactMatrix, nested
+    sequences, or an ndarray."""
     if isinstance(m, ExactMatrix):
         rows = [[float(v) for v in row] for row in m.to_lists()]
         a = np.array(rows, dtype=float)
@@ -37,6 +37,8 @@ def to_float_array(m) -> np.ndarray:
         a = np.array(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
     return a
 
 

@@ -23,9 +23,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Tuple
 
 from birank import abpdec, certify, exactla, permhess, polyring, rankmin
 
@@ -42,33 +41,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated parameters for one subcommand invocation."""
-
-    subcommand: str
-    d: Optional[int] = None
-    k: Optional[int] = None
-    r: Optional[int] = None
-    poly_path: Optional[str] = None
-    matrix_path: Optional[str] = None
-    vertices_path: Optional[str] = None
-    out_path: Optional[str] = None
-    export_cs: Optional[str] = None
-    kind: Optional[str] = None
-    x0: Optional[Tuple[Fraction, ...]] = None
-    degrees: Optional[Tuple[int, ...]] = None
-    tol: float = 1e-9
-    budget: int = 6
-    seed: int = 0
-    birank: Optional[int] = None
-    big_d: Optional[int] = None
-    pair: bool = False
-    include_matrix: bool = False
-
-
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _emit(obj, out_path) -> None:
@@ -109,28 +83,28 @@ def _parse_degrees(text: str) -> Tuple[int, ...]:
 # Subcommand handlers.  Each validates its ranges before any heavy work.
 
 
-def cmd_hessian(cfg: RunConfig) -> int:
-    if cfg.d is None or cfg.d < 2:
+def cmd_hessian(args: argparse.Namespace) -> int:
+    if args.d is None or args.d < 2:
         raise UsageError("hessian needs --d at least 2")
-    if cfg.d > 10:
+    if args.d > 10:
         raise UsageError("hessian supports --d up to 10")
-    report = permhess.hessian_report(cfg.d)
+    report = permhess.hessian_report(args.d)
     obj = permhess.report_to_json(report)
-    if cfg.include_matrix:
-        obj["matrix"] = exactla.matrix_to_json(permhess.hessian_perm_fast(cfg.d))
-    _emit(obj, cfg.out_path)
+    if args.include_matrix:
+        obj["matrix"] = exactla.matrix_to_json(permhess.hessian_blocks(args.d))
+    _emit(obj, args.out_path)
     return 0
 
 
-def _load_poly(cfg: RunConfig) -> polyring.Polynomial:
-    if not cfg.poly_path:
-        raise UsageError(f"--kind {cfg.kind} needs --poly FILE")
-    return polyring.poly_from_json(_load_json(cfg.poly_path))
+def _load_poly(args: argparse.Namespace) -> polyring.Polynomial:
+    if not args.poly_path:
+        raise UsageError(f"--kind {args.kind} needs --poly FILE")
+    return polyring.poly_from_json(_load_json(args.poly_path))
 
 
-def cmd_build(cfg: RunConfig) -> int:
-    if cfg.kind in ("xp", "sym", "psd-pair"):
-        p = _load_poly(cfg)
+def cmd_build(args: argparse.Namespace) -> int:
+    if args.kind in ("xp", "sym", "psd-pair"):
+        p = _load_poly(args)
         if p.degree() > 0 and p.is_homogeneous():
             k = p.degree() // 2
             size = polyring.monomial_count(p.num_vars, max(k, 1))
@@ -140,33 +114,34 @@ def cmd_build(cfg: RunConfig) -> int:
             "xp": rankmin.build_affine_system,
             "sym": rankmin.build_sym_system,
             "psd-pair": rankmin.build_psd_pair_system,
-        }[cfg.kind]
+        }[args.kind]
         cs = builder(p)
-    elif cfg.kind == "z2k":
-        if cfg.d is None or cfg.k is None:
+    elif args.kind == "z2k":
+        if args.d is None or args.k is None:
             raise UsageError("--kind z2k needs --d and --k")
-        if cfg.d < 2 or cfg.k < 1:
+        if args.d < 2 or args.k < 1:
             raise UsageError("z2k needs --d at least 2 and --k at least 1")
-        if cfg.d > 2 * cfg.k and math.comb((cfg.d - 1) ** 2, 2 * cfg.k) > 200000:
+        if args.d > 2 * args.k and math.comb((args.d - 1) ** 2, 2 * args.k) > 200000:
             raise UsageError("z2k system too large for these parameters")
-        cs = rankmin.build_z2k(cfg.d, cfg.k)
+        cs = rankmin.build_z2k(args.d, args.k)
     else:
-        raise UsageError(f"unknown build kind {cfg.kind!r}")
-    _emit(rankmin.system_to_json(cs), cfg.out_path)
+        raise UsageError(f"unknown build kind {args.kind!r}")
+    _emit(rankmin.system_to_json(cs), args.out_path)
     return 0
 
 
-def cmd_decompose(cfg: RunConfig) -> int:
-    if not cfg.matrix_path or cfg.x0 is None or cfg.k is None:
+def cmd_decompose(args: argparse.Namespace) -> int:
+    x0 = _parse_point(args.x0) if args.x0 else None
+    if not args.matrix_path or x0 is None or args.k is None:
         raise UsageError("decompose needs --matrix, --x0 and --k")
-    if cfg.k < 1 or cfg.k > 3:
+    if args.k < 1 or args.k > 3:
         raise UsageError("decompose supports --k between 1 and 3")
-    a = exactla.affine_from_json(_load_json(cfg.matrix_path))
+    a = exactla.affine_from_json(_load_json(args.matrix_path))
     if a.n > 10:
         raise UsageError("decompose supports matrices up to size 10")
-    if len(cfg.x0) != a.num_vars:
+    if len(x0) != a.num_vars:
         raise UsageError(f"--x0 needs {a.num_vars} coordinates")
-    result = abpdec.decompose_from_representation(a, cfg.x0, cfg.k)
+    result = abpdec.decompose_from_representation(a, x0, args.k)
     obj = {
         "n": result.n,
         "num_vars": result.num_vars,
@@ -176,17 +151,19 @@ def cmd_decompose(cfg: RunConfig) -> int:
         "pair_bound": result.pair_bound,
         "decomposition": abpdec.decomposition_to_json(result.decomposition),
     }
-    _emit(obj, cfg.out_path)
+    _emit(obj, args.out_path)
     return 0
 
 
-def cmd_mv_det(cfg: RunConfig) -> int:
-    if not cfg.matrix_path:
+def cmd_mv_det(args: argparse.Namespace) -> int:
+    degrees = _parse_degrees(args.degrees) if args.degrees else None
+    if not args.matrix_path:
         raise UsageError("mv-det needs --matrix FILE")
-    a = exactla.affine_from_json(_load_json(cfg.matrix_path))
+    a = exactla.affine_from_json(_load_json(args.matrix_path))
     if a.n > 6:
         raise UsageError("mv-det supports matrices up to size 6")
-    degrees = cfg.degrees if cfg.degrees is not None else tuple(range(a.n + 1))
+    if degrees is None:
+        degrees = tuple(range(a.n + 1))
     if any(v > a.n for v in degrees):
         raise UsageError(f"coefficient degrees run from 0 to {a.n}")
     coeffs = abpdec.char_coefficients(a, list(degrees))
@@ -194,15 +171,15 @@ def cmd_mv_det(cfg: RunConfig) -> int:
         "n": a.n,
         "coefficients": {str(k): polyring.poly_to_json(v) for k, v in coeffs.items()},
     }
-    _emit(obj, cfg.out_path)
+    _emit(obj, args.out_path)
     return 0
 
 
-def cmd_brank_interval(cfg: RunConfig) -> int:
-    if not cfg.poly_path:
+def cmd_brank_interval(args: argparse.Namespace) -> int:
+    if not args.poly_path:
         raise UsageError("brank-interval needs --poly FILE")
-    p = polyring.poly_from_json(_load_json(cfg.poly_path))
-    kind = cfg.kind or "xp"
+    p = polyring.poly_from_json(_load_json(args.poly_path))
+    kind = args.kind or "xp"
     if kind not in ("xp", "sym", "psd-pair"):
         raise UsageError(f"unknown system kind {kind!r}")
     if p.is_zero() or not p.is_homogeneous() or p.degree() % 2 or p.degree() == 0:
@@ -216,9 +193,9 @@ def cmd_brank_interval(cfg: RunConfig) -> int:
         "psd-pair": rankmin.build_psd_pair_system,
     }[kind]
     cs = builder(p)
-    if cfg.export_cs:
-        _emit(rankmin.system_to_json(cs), cfg.export_cs)
-    interval = rankmin.minrank_interval(cs, budget=cfg.budget, seed=cfg.seed)
+    if args.export_cs:
+        _emit(rankmin.system_to_json(cs), args.export_cs)
+    interval = rankmin.minrank_interval(cs, budget=args.budget, seed=args.seed)
     obj = {
         "kind": kind,
         "lower": interval.lower,
@@ -227,51 +204,51 @@ def cmd_brank_interval(cfg: RunConfig) -> int:
         "upper_method": interval.upper_method,
         "free_dimension": interval.free_dimension,
     }
-    _emit(obj, cfg.out_path)
+    _emit(obj, args.out_path)
     return 0
 
 
-def cmd_certify(cfg: RunConfig) -> int:
-    if not cfg.vertices_path or cfg.r is None:
+def cmd_certify(args: argparse.Namespace) -> int:
+    if not args.vertices_path or args.r is None:
         raise UsageError("certify needs --vertices FILE and --r")
-    if cfg.r < 0:
+    if args.r < 0:
         raise UsageError("--r must be nonnegative")
-    data = _load_json(cfg.vertices_path)
+    data = _load_json(args.vertices_path)
     if not isinstance(data, dict) or "vertices" not in data:
         raise UsageError("vertices file must be an object with a 'vertices' list")
     vertices = data["vertices"]
     if not isinstance(vertices, list) or not vertices:
         raise UsageError("vertices list is empty")
     try:
-        if cfg.pair:
+        if args.pair:
             pairs = [(v[0], v[1]) for v in vertices]
-            cert = certify.certify_brank(pairs, cfg.r, tol=cfg.tol)
+            cert = certify.certify_brank(pairs, args.r, tol=args.tol)
         else:
-            cert = certify.certify_minrank(vertices, cfg.r, tol=cfg.tol)
+            cert = certify.certify_minrank(vertices, args.r, tol=args.tol)
     except (ValueError, TypeError, IndexError) as exc:
         raise UsageError(f"bad vertices input: {exc}")
-    _emit(certify.certificate_to_json(cert), cfg.out_path)
+    _emit(certify.certificate_to_json(cert), args.out_path)
     return 0 if cert.accepted else 2
 
 
-def cmd_bounds(cfg: RunConfig) -> int:
-    if cfg.birank is None or cfg.k is None or cfg.big_d is None:
+def cmd_bounds(args: argparse.Namespace) -> int:
+    if args.birank is None or args.k is None or args.big_d is None:
         raise UsageError("bounds needs --birank, --k and --D")
-    if cfg.birank < 0 or cfg.k < 1 or cfg.big_d < 1:
+    if args.birank < 0 or args.k < 1 or args.big_d < 1:
         raise UsageError("bounds needs --birank >= 0, --k >= 1, --D >= 1")
-    lower = abpdec.dc_lower_bound(cfg.birank, cfg.k, cfg.big_d)
-    floor = abpdec.generic_birank_floor(cfg.big_d, cfg.k)
+    lower = abpdec.dc_lower_bound(args.birank, args.k, args.big_d)
+    floor = abpdec.generic_birank_floor(args.big_d, args.k)
     obj = {
-        "birank": cfg.birank,
-        "k": cfg.k,
-        "D": cfg.big_d,
+        "birank": args.birank,
+        "k": args.k,
+        "D": args.big_d,
         "dc_lower_bound": polyring.fraction_to_json(lower),
         "dc_lower_bound_float": float(lower),
-        "dc_sqrt_bound": abpdec.dc_sqrt_bound(cfg.birank),
+        "dc_sqrt_bound": abpdec.dc_sqrt_bound(args.birank),
         "generic_floor": polyring.fraction_to_json(floor),
         "generic_floor_float": float(floor),
     }
-    _emit(obj, cfg.out_path)
+    _emit(obj, args.out_path)
     return 0
 
 
@@ -336,30 +313,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        subcommand=args.subcommand,
-        d=getattr(args, "d", None),
-        k=getattr(args, "k", None),
-        r=getattr(args, "r", None),
-        poly_path=getattr(args, "poly_path", None),
-        matrix_path=getattr(args, "matrix_path", None),
-        vertices_path=getattr(args, "vertices_path", None),
-        out_path=getattr(args, "out_path", None),
-        export_cs=getattr(args, "export_cs", None),
-        kind=getattr(args, "kind", None),
-        x0=_parse_point(args.x0) if getattr(args, "x0", None) else None,
-        degrees=_parse_degrees(args.degrees) if getattr(args, "degrees", None) else None,
-        tol=getattr(args, "tol", 1e-9),
-        budget=getattr(args, "budget", 6),
-        seed=getattr(args, "seed", 0),
-        birank=getattr(args, "birank", None),
-        big_d=getattr(args, "big_d", None),
-        pair=getattr(args, "pair", False),
-        include_matrix=getattr(args, "include_matrix", False),
-    )
-
-
 _HANDLERS = {
     "hessian": cmd_hessian,
     "build": cmd_build,
@@ -375,8 +328,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = _config_from_args(args)
-        return _HANDLERS[cfg.subcommand](cfg)
+        return _HANDLERS[args.subcommand](args)
     except SystemExit as exc:  # argparse --help
         code = exc.code
         if code is None:

@@ -1,10 +1,14 @@
-"""Exact rational matrices: ranks, signatures, and affine normal forms.
+"""Exact rational matrices: ranks, determinants, solutions, signatures,
+and affine normal forms.
 
-Matrices are immutable tuples of Fraction rows.  Ranks use fraction-free
-integer elimination (Bareiss) after clearing row denominators; signatures
-of symmetric matrices use congruence diagonalization, handling an
-all-zero trailing diagonal with a hyperbolic 2 x 2 pivot that contributes
-one positive and one negative inertia unit.  No floating point anywhere.
+Matrices are immutable tuples of Fraction rows.  Every elimination runs
+on integers: denominators are cleared once per matrix, and one
+fraction-free (Bareiss) step, whose divisions are exact, serves every
+result.  Forward elimination gives the rank and the determinant;
+clearing above the pivots too gives solutions and inverses; diagonal
+pivots give the inertia of a symmetric matrix, with an all-zero trailing
+diagonal repaired by adding one row and column to another.  No floating
+point anywhere.
 
 The module also hosts matrices whose entries are affine polynomials in
 x1..xD (AffineMatrixPoly) and the two normal forms used to turn a
@@ -24,6 +28,7 @@ from typing import NamedTuple, Sequence
 from birank.polyring import (
     Point,
     Polynomial,
+    _permutations_with_parity,
     as_fraction,
     fraction_from_json,
     fraction_to_json,
@@ -122,11 +127,6 @@ class ExactMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def trace(self) -> Fraction:
-        if not self.is_square():
-            raise ValueError("trace needs a square matrix")
-        return sum((self.entries[i][i] for i in range(self.rows)), Fraction(0))
-
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "ExactMatrix":
         return ExactMatrix([[self.entries[i][j] for j in col_idx] for i in row_idx])
 
@@ -154,80 +154,105 @@ def trailing_ones_matrix(n: int, r: int) -> ExactMatrix:
     return ExactMatrix.diagonal([0] * (n - r) + [1] * r)
 
 
-def _integer_rows(m: ExactMatrix) -> list:
-    # Clearing each row's denominators preserves rank.
+def _integer_rows(rows):
+    """Integer copies of rational rows, each scaled by the lcm of its
+    denominators, and the product of those scales.  Row scaling keeps the
+    rank, the pivots and the solutions of an augmented system, and
+    multiplies the determinant by the returned product."""
     out = []
-    for row in m.entries:
-        scale = math.lcm(*(v.denominator for v in row)) if row else 1
-        out.append([int(v * scale) for v in row])
-    return out
+    scale = 1
+    for row in rows:
+        den = math.lcm(*(v.denominator for v in row))
+        out.append([v.numerator * (den // v.denominator) for v in row])
+        scale *= den
+    return out, scale
+
+
+def _integer_multiple(m: ExactMatrix):
+    """The integer matrix c * m and c, for c the lcm of the denominators
+    over the gcd of the numerators.  One positive scale for the whole
+    matrix keeps the inertia of a symmetric matrix and turns each row
+    transform into an integer one; dividing out the common factor keeps
+    the eliminated entries short."""
+    den = math.lcm(*(v.denominator for row in m.entries for v in row))
+    g = math.gcd(*(v.numerator for row in m.entries for v in row)) or 1
+    rows = [[v.numerator // g * (den // v.denominator) for v in row] for row in m.entries]
+    return rows, Fraction(den, g)
+
+
+def _bareiss_step(rows, r, col, prev, targets) -> int:
+    """Eliminate column col from the target rows with pivot row r:
+    row <- (pivot * row - row[col] * rows[r]) / prev, exact on integers
+    (Bareiss 1968, Sylvester's identity).  Returns the pivot."""
+    pivot_row = rows[r]
+    pivot = pivot_row[col]
+    for i in targets:
+        row = rows[i]
+        f = row[col]
+        rows[i] = [(a * pivot - f * b) // prev for a, b in zip(row, pivot_row)]
+    return pivot
+
+
+def _eliminate(rows, width: int, jordan: bool = False):
+    """Fraction-free elimination of integer rows, in place.
+
+    Columns 0..width-1 are scanned in order; each takes as pivot the first
+    row at or below the current one that is nonzero there, swapped into
+    place.  Forward elimination clears below each pivot; the last pivot is
+    then the determinant of the pivot rows, in their swapped order, and
+    pivot columns.  With jordan, the rows
+    above are cleared too, and each pivot row ends as the last pivot times
+    its row of the reduced echelon form.  Returns the pivot columns, the
+    sign of the row permutation and the last pivot (1 when there is none).
+    """
+    pivots = []
+    sign = 1
+    prev = 1
+    n = len(rows)
+    for col in range(width):
+        r = len(pivots)
+        if r == n:
+            break
+        found = next((i for i in range(r, n) if rows[i][col]), None)
+        if found is None:
+            continue
+        if found != r:
+            rows[r], rows[found] = rows[found], rows[r]
+            sign = -sign
+        targets = [i for i in range(n) if i != r] if jordan else range(r + 1, n)
+        prev = _bareiss_step(rows, r, col, prev, targets)
+        pivots.append(col)
+    return pivots, sign, prev
 
 
 def rank_exact(m: ExactMatrix) -> int:
     """Rank over the rationals by fraction-free (Bareiss) elimination."""
-    rows = _integer_rows(m)
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        pivot_row = next((i for i in range(rank, nrows) if rows[i][col]), None)
-        if pivot_row is None:
-            continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        pivot = rows[rank][col]
-        for i in range(rank + 1, nrows):
-            factor = rows[i][col]
-            for j in range(col + 1, ncols):
-                rows[i][j] = (rows[i][j] * pivot - factor * rows[rank][j]) // prev
-            rows[i][col] = 0
-        prev = pivot
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+    rows, _ = _integer_rows(m.entries)
+    pivots, _, _ = _eliminate(rows, m.cols)
+    return len(pivots)
 
 
 def det_exact(m: ExactMatrix) -> Fraction:
     if not m.is_square():
         raise ValueError("determinant needs a square matrix")
-    n = m.rows
-    work = [list(row) for row in m.entries]
-    det = Fraction(1)
-    for col in range(n):
-        pivot_row = next((i for i in range(col, n) if work[i][col]), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != col:
-            work[col], work[pivot_row] = work[pivot_row], work[col]
-            det = -det
-        pivot = work[col][col]
-        det *= pivot
-        for i in range(col + 1, n):
-            factor = work[i][col] / pivot
-            if factor:
-                for j in range(col, n):
-                    work[i][j] -= factor * work[col][j]
-    return det
+    rows, scale = _integer_rows(m.entries)
+    pivots, sign, last = _eliminate(rows, m.cols)
+    if len(pivots) < m.rows:
+        return Fraction(0)
+    return Fraction(sign * last, scale)
 
 
 def inverse_exact(m: ExactMatrix) -> ExactMatrix:
     if not m.is_square():
         raise ValueError("inverse needs a square matrix")
     n = m.rows
-    work = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m.entries)]
-    for col in range(n):
-        pivot_row = next((i for i in range(col, n) if work[i][col]), None)
-        if pivot_row is None:
-            raise ValueError("matrix is singular")
-        work[col], work[pivot_row] = work[pivot_row], work[col]
-        pivot = work[col][col]
-        work[col] = [v / pivot for v in work[col]]
-        for i in range(n):
-            if i != col and work[i][col]:
-                factor = work[i][col]
-                work[i] = [a - factor * b for a, b in zip(work[i], work[col])]
-    return ExactMatrix([row[n:] for row in work])
+    rows, _ = _integer_rows(
+        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m.entries)]
+    )
+    pivots, _, last = _eliminate(rows, n, jordan=True)
+    if len(pivots) < n:
+        raise ValueError("matrix is singular")
+    return ExactMatrix([[Fraction(v, last) for v in row[n:]] for row in rows])
 
 
 class Signature(NamedTuple):
@@ -243,72 +268,41 @@ class Signature(NamedTuple):
 def signature_exact(m: ExactMatrix) -> Signature:
     """Inertia (n+, n-, n0) of a symmetric rational matrix.
 
-    Congruence diagonalization: diagonal pivots eliminate symmetrically; a
-    zero diagonal is first repaired by a symmetric swap with a later nonzero
-    diagonal entry, and if the whole trailing diagonal vanishes a nonzero
-    off-diagonal entry is pivoted as a hyperbolic 2 x 2 block, which has
-    inertia (1, 1, 0).  Sylvester's law makes the count congruence-invariant.
+    Symmetric fraction-free elimination with diagonal pivots: the k-th
+    pivot over the previous one is the k-th entry of an LDL^T
+    factorization, so its sign is sign(pivot_k * pivot_{k-1}).  A zero
+    diagonal is repaired by a symmetric swap with a later nonzero diagonal
+    entry; if the whole trailing diagonal vanishes, a nonzero entry
+    w[q][j] is moved onto it by adding row and column j to row and column
+    q, which makes the diagonal entry 2 * w[q][j].  Both moves are
+    congruences, so Sylvester's law keeps the count.
     """
     if not m.is_symmetric():
         raise ValueError("signature needs a symmetric matrix")
     n = m.rows
-    w = [list(row) for row in m.entries]
+    w, _ = _integer_multiple(m)
     n_plus = n_minus = 0
-
-    def swap(a, b):
-        w[a], w[b] = w[b], w[a]
-        for row in w:
-            row[a], row[b] = row[b], row[a]
-
-    p = 0
-    while p < n:
-        if not w[p][p]:
-            later = next((q for q in range(p + 1, n) if w[q][q]), None)
-            if later is not None:
-                swap(p, later)
-        if w[p][p]:
-            pivot = w[p][p]
-            n_plus, n_minus = (n_plus + 1, n_minus) if pivot > 0 else (n_plus, n_minus + 1)
-            for i in range(p + 1, n):
-                factor = w[i][p] / pivot
-                if factor:
-                    for j in range(p, n):
-                        w[i][j] -= factor * w[p][j]
-            for i in range(p + 1, n):
-                factor = w[p][i] / pivot
-                if factor:
-                    for j in range(p, n):
-                        w[j][i] -= factor * w[j][p]
-            p += 1
-            continue
-        # Entire trailing diagonal is zero here.
-        pair = next(
-            ((i, j) for i in range(p, n) for j in range(i + 1, n) if w[i][j]),
-            None,
-        )
-        if pair is None:
-            break
-        i0, j0 = pair
-        if i0 != p:
-            swap(p, i0)
-        if j0 != p + 1:
-            swap(p + 1, j0)
-        b = w[p][p + 1]
-        n_plus += 1
-        n_minus += 1
-        for i in range(p + 2, n):
-            c1 = w[i][p + 1] / b
-            c2 = w[i][p] / b
-            if c1 or c2:
-                for j in range(p, n):
-                    w[i][j] -= c1 * w[p][j] + c2 * w[p + 1][j]
-        for i in range(p + 2, n):
-            c1 = w[p + 1][i] / b
-            c2 = w[p][i] / b
-            if c1 or c2:
-                for j in range(p, n):
-                    w[j][i] -= c1 * w[j][p] + c2 * w[j][p + 1]
-        p += 2
+    prev = 1
+    for p in range(n):
+        q = next((q for q in range(p, n) if w[q][q]), None)
+        if q is None:
+            pair = next(((i, j) for i in range(p, n) for j in range(i + 1, n) if w[i][j]), None)
+            if pair is None:
+                break
+            q, j = pair
+            w[q] = [a + b for a, b in zip(w[q], w[j])]
+            for row in w[p:]:
+                row[q] += row[j]
+        if q != p:
+            w[p], w[q] = w[q], w[p]
+            for row in w[p:]:
+                row[p], row[q] = row[q], row[p]
+        pivot = _bareiss_step(w, p, p, prev, range(p + 1, n))
+        if (pivot > 0) == (prev > 0):
+            n_plus += 1
+        else:
+            n_minus += 1
+        prev = pivot
     return Signature(n_plus, n_minus, n - n_plus - n_minus)
 
 
@@ -325,36 +319,21 @@ def solve_linear(rows, rhs):
     """Solve rows * x = rhs over the rationals.
 
     Returns (particular, nullspace_basis) with free variables set to zero,
-    or None when inconsistent.  Dense Gauss-Jordan.
+    or None when inconsistent.  Fraction-free Gauss-Jordan on [rows | rhs].
     """
     m = len(rows)
     if m != len(rhs):
         raise ValueError("right-hand side length mismatch")
     ncols = len(rows[0]) if m else 0
-    work = [[as_fraction(v) for v in row] + [as_fraction(rhs[i])] for i, row in enumerate(rows)]
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pivot_row = next((i for i in range(r, m) if work[i][col]), None)
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        pivot = work[r][col]
-        work[r] = [v / pivot for v in work[r]]
-        for i in range(m):
-            if i != r and work[i][col]:
-                factor = work[i][col]
-                work[i] = [a - factor * b for a, b in zip(work[i], work[r])]
-        pivots.append(col)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if work[i][ncols]:
-            return None
+    work, _ = _integer_rows(
+        [[as_fraction(v) for v in row] + [as_fraction(rhs[i])] for i, row in enumerate(rows)]
+    )
+    pivots, _, last = _eliminate(work, ncols, jordan=True)
+    if any(row[ncols] for row in work[len(pivots):]):
+        return None
     particular = [Fraction(0)] * ncols
-    for row_idx, col in enumerate(pivots):
-        particular[col] = work[row_idx][ncols]
+    for row, col in zip(work, pivots):
+        particular[col] = Fraction(row[ncols], last)
     pivot_set = set(pivots)
     basis = []
     for free in range(ncols):
@@ -362,8 +341,8 @@ def solve_linear(rows, rhs):
             continue
         vec = [Fraction(0)] * ncols
         vec[free] = Fraction(1)
-        for row_idx, col in enumerate(pivots):
-            vec[col] = -work[row_idx][free]
+        for row, col in zip(work, pivots):
+            vec[col] = Fraction(-row[free], last)
         basis.append(vec)
     return particular, basis
 
@@ -465,14 +444,9 @@ class AffineMatrixPoly:
 
     def det_polynomial(self) -> Polynomial:
         """Full symbolic determinant by Leibniz expansion; meant for small n."""
-        import itertools
-
         total = Polynomial.zero(self.num_vars)
-        for perm in itertools.permutations(range(self.n)):
-            inversions = sum(
-                1 for a in range(self.n) for b in range(a + 1, self.n) if perm[a] > perm[b]
-            )
-            prod = Polynomial.constant(self.num_vars, -1 if inversions % 2 else 1)
+        for perm, sign in _permutations_with_parity(self.n):
+            prod = Polynomial.constant(self.num_vars, sign)
             for i in range(self.n):
                 prod = prod * self.entry_poly(i, perm[i])
             total = total + prod
@@ -496,53 +470,33 @@ class SingularNormalForm:
 
 
 def _decompose_constant(m0: ExactMatrix):
-    # Full-pivot elimination: returns (s, t, r) with s @ m0 @ t equal to a
-    # 0/1 diagonal carrying r leading ones.
+    """(s, t, r) with s @ m0 @ t the 0/1 diagonal carrying r leading ones.
+
+    The pivots are those of a full-pivot search that takes, at step p, the
+    first nonzero column of the trailing block and swaps it into place.
+    s is the row transform that makes each pivot 1 and clears below it,
+    read from the forward elimination of [c * m0 | I], c the scale of
+    _integer_multiple.  t then clears right of each pivot: it is the
+    inverse of s @ m0 with its zero rows replaced by the unit rows of the
+    non-pivot columns, in the order the swaps left them.
+    """
     n = m0.rows
-    w = [list(row) for row in m0.entries]
-    s = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    t = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-    def swap_rows(a, b):
-        w[a], w[b] = w[b], w[a]
-        s[a], s[b] = s[b], s[a]
-
-    def swap_cols(a, b):
-        for row in w:
-            row[a], row[b] = row[b], row[a]
-        for row in t:
-            row[a], row[b] = row[b], row[a]
-
-    r = 0
-    for p in range(n):
-        pivot = next(
-            ((i, j) for j in range(p, n) for i in range(p, n) if w[i][j]),
-            None,
-        )
-        if pivot is None:
-            break
-        i0, j0 = pivot
-        if i0 != p:
-            swap_rows(p, i0)
-        if j0 != p:
-            swap_cols(p, j0)
-        pv = w[p][p]
-        w[p] = [v / pv for v in w[p]]
-        s[p] = [v / pv for v in s[p]]
-        for i in range(p + 1, n):
-            factor = w[i][p]
-            if factor:
-                w[i] = [a - factor * b for a, b in zip(w[i], w[p])]
-                s[i] = [a - factor * b for a, b in zip(s[i], s[p])]
-        for j in range(p + 1, n):
-            factor = w[p][j]
-            if factor:
-                for row in w:
-                    row[j] -= factor * row[p]
-                for row in t:
-                    row[j] -= factor * row[p]
-        r += 1
-    return ExactMatrix(s), ExactMatrix(t), r
+    rows, scale = _integer_multiple(m0)
+    for i, row in enumerate(rows):
+        row.extend(int(i == j) for j in range(n))
+    pivots, _, last = _eliminate(rows, n)
+    r = len(pivots)
+    # Pivot row k times c / pivot_k is the normalized row; a zero row holds
+    # its own original row with coefficient last.
+    s = [[v * scale / row[c] for v in row[n:]] for row, c in zip(rows, pivots)]
+    s += [[Fraction(v, last) for v in row[n:]] for row in rows[r:]]
+    order = list(range(n))
+    for p, c in enumerate(pivots):
+        j = order.index(c)
+        order[p], order[j] = order[j], order[p]
+    z = [[Fraction(v, row[c]) for v in row[:n]] for row, c in zip(rows, pivots)]
+    z += [[int(j == order[k]) for j in range(n)] for k in range(r, n)]
+    return ExactMatrix(s), inverse_exact(ExactMatrix(z)), r
 
 
 def singular_normal_form(q: AffineMatrixPoly, x0: Point, verify_limit: int = 4) -> SingularNormalForm:
@@ -649,12 +603,3 @@ def affine_from_json(obj) -> AffineMatrixPoly:
     if "num_vars" in obj and a.num_vars != int(obj["num_vars"]):
         raise ValueError("affine matrix variable count mismatch")
     return a
-
-
-def form_to_json(form: SingularNormalForm) -> dict:
-    return {
-        "s": matrix_to_json(form.s),
-        "t": matrix_to_json(form.t),
-        "rank": form.rank,
-        "linear": affine_to_json(form.linear),
-    }

@@ -5,11 +5,12 @@ by 1 - d.  Row sums of every (d-1) x (d-1) minor built from it force the
 permanent to vanish there while the Hessian stays full rank, which is
 what makes the point useful for rank-based lower bounds.
 
-Three routes to the same d^2 x d^2 matrix are provided: symbolic second
-derivatives of any polynomial (hessian), permanental minors specific to
-the permanent at this point (hessian_perm_fast), and a closed-form block
-assembly (hessian_blocks).  Tests and the acceptance gate require all
-three to agree entrywise.
+Three routes to the same d^2 x d^2 matrix are provided.  The closed-form
+block assembly (hessian_blocks) is the production route: hessian_report
+and the CLI use it.  Symbolic second derivatives of any polynomial
+(hessian) and permanental minors by Ryser's exponential formula
+(hessian_perm_fast, permanent_exact) are kept as oracles; tests and the
+acceptance gate require all three to agree entrywise.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from birank.exactla import ExactMatrix, Signature, kron, rank_exact, signature_exact
+from birank.exactla import ExactMatrix, Signature, kron, signature_exact
 from birank.polyring import Point, Polynomial, point
 
 
@@ -199,11 +200,11 @@ def hessian_report(d: int) -> HessianReport:
 
     Also records which closed-form block tiles the upper-left d(d-1)
     principal submatrix (sanity check on the block assembly)."""
-    h = hessian_perm_fast(d)
-    rank = rank_exact(h)
+    h = hessian_blocks(d)
+    sig = signature_exact(h)
+    rank = sig.rank
     if rank != d * d:
         raise ArithmeticError(f"permanent Hessian at d={d} has rank {rank}, expected {d * d}")
-    sig = signature_exact(h)
     block_identity = None
     if d >= 3:
         m = d * (d - 1)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, Tuple
+from typing import Iterable, Iterator, Tuple
 
 Exponent = Tuple[int, ...]
 Point = Tuple[Fraction, ...]
@@ -218,13 +218,6 @@ def homogeneous_part(p: Polynomial, k: int) -> Polynomial:
     if k < 0:
         raise ValueError("degree must be nonnegative")
     return Polynomial(p.num_vars, {e: c for e, c in p.terms.items() if sum(e) == k})
-
-
-def matrix_var_index(i: int, j: int, d: int) -> int:
-    """0-based variable index of entry (i, j), 1-based, of a d x d matrix flattened row-major."""
-    if not (1 <= i <= d and 1 <= j <= d):
-        raise ValueError(f"entry ({i},{j}) outside a {d} x {d} matrix")
-    return (i - 1) * d + (j - 1)
 
 
 def _permutations_with_parity(n: int) -> Iterator[tuple]:

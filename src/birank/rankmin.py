@@ -35,6 +35,7 @@ from birank.exactla import (
 from birank.polyring import (
     Exponent,
     Polynomial,
+    _permutations_with_parity,
     fraction_to_json,
     monomial_count,
     monomial_index_set,
@@ -424,15 +425,12 @@ def _symbolic_solution_matrix(cs, layout, particular, basis_vecs):
 
 def _poly_det(grid, rows, cols):
     total = None
-    for perm in itertools.permutations(range(len(rows))):
-        inversions = sum(
-            1 for a in range(len(rows)) for b in range(a + 1, len(rows)) if perm[a] > perm[b]
-        )
+    for perm, sign in _permutations_with_parity(len(rows)):
         prod = None
         for a, i in enumerate(rows):
             entry = grid[i][cols[perm[a]]]
             prod = entry if prod is None else prod * entry
-        signed = prod if inversions % 2 == 0 else -prod
+        signed = prod if sign > 0 else -prod
         total = signed if total is None else total + signed
     return total
 

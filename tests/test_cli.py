@@ -1,9 +1,12 @@
+import hashlib
 import json
 import subprocess
 import sys
 from fractions import Fraction
 
-from birank.cli import main
+import pytest
+
+from birank.cli import canonical_json, main
 from birank.exactla import AffineMatrixPoly, ExactMatrix, affine_to_json
 from birank.polyring import Polynomial, poly_to_json
 
@@ -212,6 +215,21 @@ def test_certify_malformed_json(tmp_path, capsys):
     assert main(["certify", "--vertices", empty, "--r", "1"]) == 1
 
 
+def test_certify_rejects_non_finite_vertices(tmp_path, capsys):
+    # NaN used to reach stdout as a bare NaN token with exit 2 (rejected).
+    nan = tmp_path / "nan.json"
+    nan.write_text('{"vertices": [[[NaN, 0.0], [0.0, 1.0]]]}')
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"vertices": [[[[1e400, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]]]}')
+    for argv in (["--vertices", str(nan), "--r", "1"], ["--vertices", str(huge), "--r", "1", "--pair"]):
+        assert main(["certify"] + argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "finite" in captured.err
+    with pytest.raises(ValueError):
+        canonical_json({"mu": float("nan")})
+
+
 def test_bounds(capsys):
     code, out = run(capsys, ["bounds", "--birank", "16", "--k", "1", "--D", "4"])
     assert code == 0
@@ -233,3 +251,64 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["dc_lower_bound_float"] == 4.0
+
+
+# Byte-identity guard: stdout digests recorded before the exact-arithmetic
+# kernel was rewritten.  Any change here is a behaviour change.
+def leading_zero_rep_file(tmp_path):
+    # A 5x5 representation in 3 variables whose matrix at GOLDEN_X0 has the
+    # columns [0, 0, a, b, c] of rank 3, with mixed denominators.
+    m0_cols = [
+        [0] * 5,
+        [0] * 5,
+        [1, Fraction(1, 2), 0, 2, -1],
+        [0, 1, 3, -1, Fraction(1, 3)],
+        [2, 0, 1, 0, 1],
+    ]
+    coeffs = [
+        [[1, 0, -1, 2, 0], [0, 1, 1, 0, -1], [2, 0, 0, 1, 1], [-1, 1, 0, 0, 2], [0, -2, 1, 1, 0]],
+        [[0, 1, 0, -1, 1], [1, 0, 2, 1, 0], [0, -1, 1, 0, 1], [1, 1, 0, 2, 0], [-1, 0, 0, 1, 1]],
+        [[1, 1, 0, 0, 0], [0, 0, 1, -1, 2], [1, 0, 0, 0, -1], [0, 2, -1, 1, 0], [0, 1, 1, 0, 1]],
+    ]
+    x0 = [Fraction(1), Fraction(-1, 2), Fraction(2)]
+    const = [
+        [m0_cols[j][i] - sum(x * c[i][j] for x, c in zip(x0, coeffs)) for j in range(5)]
+        for i in range(5)
+    ]
+    a = AffineMatrixPoly(ExactMatrix(const), [ExactMatrix(c) for c in coeffs])
+    return write_json(tmp_path / "rep5.json", affine_to_json(a)), "1,-1/2,2"
+
+
+def binary_quartic_file(tmp_path):
+    p = Polynomial(2, {(4, 0): 1, (3, 1): Fraction(-1, 2), (2, 2): 3, (1, 3): 2, (0, 4): Fraction(5, 3)})
+    return write_json(tmp_path / "quartic.json", poly_to_json(p))
+
+
+GOLDEN_DIGESTS = {
+    "hessian-d5-matrix": "f03c55dcfc81916e16fc3045c906c5a60969d8ce6149de94835121edcebeee9a",
+    "decompose-k1": "e6dd0544399d34ea53b35369d09d746fb1e83392afe6abc5f39186f8acd77335",
+    "decompose-k2": "b605c2239b9bd5a14fbc17b6573afdf52cc7730aa6063d95e22f9a9cca509ce7",
+    "interval-xp": "c7faaed89e85fdc777e8f152fa0b2211c784fdce0df1b3334677cf027e2ec654",
+    "interval-sym": "a0973844402dd3978f77fe2fcabc9b6bc7531db3002b1ecb5fa966f4b7a7cb55",
+    "mv-det": "7d7aa7d93c90e70a2de48744e26fab79655d75d01fe3a06121466c4373904dea",
+}
+
+
+def golden_commands(tmp_path):
+    rep, x0 = leading_zero_rep_file(tmp_path)
+    quartic = binary_quartic_file(tmp_path)
+    return {
+        "hessian-d5-matrix": ["hessian", "--d", "5", "--include-matrix"],
+        "decompose-k1": ["decompose", "--matrix", rep, f"--x0={x0}", "--k", "1"],
+        "decompose-k2": ["decompose", "--matrix", rep, f"--x0={x0}", "--k", "2"],
+        "interval-xp": ["brank-interval", "--poly", quartic, "--kind", "xp"],
+        "interval-sym": ["brank-interval", "--poly", quartic, "--kind", "sym"],
+        "mv-det": ["mv-det", "--matrix", rep],
+    }
+
+
+def test_golden_stdout_digests(tmp_path, capsys):
+    for name, argv in golden_commands(tmp_path).items():
+        code, out = run(capsys, argv)
+        assert code == 0, name
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_DIGESTS[name], name

@@ -8,6 +8,7 @@ from birank.exactla import (
     AffineMatrixPoly,
     ExactMatrix,
     Signature,
+    _decompose_constant,
     affine_from_json,
     affine_to_json,
     det_exact,
@@ -153,6 +154,113 @@ def test_kron_signature_multiplies():
     assert k.rows == 6
     # inertia of a kron product of symmetric matrices: (p1*p2+m1*m2, p1*m2+m1*p2, rest)
     assert signature_exact(k) == Signature(3, 3, 0)
+
+
+def charpoly_descending(m):
+    # Faddeev-LeVerrier: coefficients of det(xI - m), highest power first,
+    # from matrix products and traces only, independent of elimination.
+    n = m.rows
+    coeffs = [Fraction(1)]
+    mk = ExactMatrix.zeros(n, n)
+    for k in range(1, n + 1):
+        mk = m @ mk + ExactMatrix.identity(n).scale(coeffs[-1])
+        product = m @ mk
+        coeffs.append(-sum((product[i, i] for i in range(n)), Fraction(0)) / k)
+    return coeffs
+
+
+def descartes_inertia(m):
+    # All roots of a symmetric matrix's characteristic polynomial are real,
+    # so Descartes' rule of signs counts the positive and negative ones.
+    coeffs = charpoly_descending(m)
+    n = len(coeffs) - 1
+
+    def sign_changes(values):
+        signs = [v > 0 for v in values if v]
+        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+    n_zero = next(k for k, c in enumerate(reversed(coeffs)) if c)
+    flipped = [c if (n - k) % 2 == 0 else -c for k, c in enumerate(coeffs)]
+    return Signature(sign_changes(coeffs), sign_changes(flipped), n_zero)
+
+
+def test_signature_matches_descartes_oracle():
+    rng = random.Random(11)
+    zero_diagonals = deficient = 0
+    for _ in range(120):
+        n = rng.randint(1, 6)
+        r = rng.randint(0, n)
+        g = random_matrix(rng, n, r, span=3) if r else ExactMatrix.zeros(n, 0)
+        d = ExactMatrix.diagonal([rng.choice([-2, -1, 1, Fraction(1, 2), 3]) for _ in range(r)])
+        m = g @ d @ g.transpose() if r else ExactMatrix.zeros(n, n)
+        if rng.random() < 0.5:
+            m = ExactMatrix([[0 if i == j else v for j, v in enumerate(row)] for i, row in enumerate(m.entries)])
+            zero_diagonals += 1
+        sig = signature_exact(m)
+        assert sig == descartes_inertia(m)
+        assert sig.rank == rank_exact(m)
+        deficient += sig.rank < n
+    assert zero_diagonals > 30 and deficient > 30
+
+
+def test_mixed_denominators_give_fractions():
+    rng = random.Random(12)
+    for _ in range(30):
+        n = rng.randint(1, 5)
+        m = ExactMatrix([
+            [Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 5, 7, 12])) for _ in range(n)]
+            for _ in range(n)
+        ])
+        assert isinstance(rank_exact(m), int)
+        det = det_exact(m)
+        assert type(det) is Fraction and det == leibniz_det(m)
+        if det:
+            inv = inverse_exact(m)
+            assert all(type(v) is Fraction for row in inv.entries for v in row)
+            assert m @ inv == ExactMatrix.identity(n)
+        rhs = [Fraction(rng.randint(-5, 5), rng.choice([1, 4, 9])) for _ in range(n)]
+        solved = solve_linear(m.to_lists(), rhs)
+        if solved is None:
+            assert not det
+            continue
+        particular, basis = solved
+        assert len(basis) == n - rank_exact(m)
+        for vec in [particular] + basis:
+            assert all(type(v) is Fraction for v in vec)
+        for row, b in zip(m.entries, rhs):
+            assert sum((a * x for a, x in zip(row, particular)), Fraction(0)) == b
+            for vec in basis:
+                assert sum((a * x for a, x in zip(row, vec)), Fraction(0)) == 0
+
+
+def test_decompose_constant_leading_zero_columns():
+    # Columns [0, 0, a, b, c] of rank 3: the pivot search swaps the zero
+    # columns out one at a time, so t's free columns come out as e1, e0.
+    cols = [
+        [0] * 5,
+        [0] * 5,
+        [0, Fraction(1, 2), 0, 2, -1],
+        [0, 1, 3, -1, Fraction(1, 3)],
+        [2, 0, 1, 0, 1],
+    ]
+    m0 = ExactMatrix([[cols[j][i] for j in range(5)] for i in range(5)])
+    s, t, r = _decompose_constant(m0)
+    assert r == 3
+    assert s == ExactMatrix([
+        [0, 2, 0, 0, 0],
+        [0, 0, "1/3", 0, 0],
+        ["1/2", 0, 0, 0, 0],
+        ["-5/6", -4, "5/3", 1, 0],
+        ["-1/9", 2, "-7/9", 0, 1],
+    ])
+    assert t == ExactMatrix([
+        [0, 0, 0, 0, 1],
+        [0, 0, 0, 1, 0],
+        [1, -2, "2/3", 0, 0],
+        [0, 1, "-1/3", 0, 0],
+        [0, 0, 1, 0, 0],
+    ])
+    assert s @ m0 @ t == ExactMatrix.diagonal([1, 1, 1, 0, 0])
 
 
 def test_solve_linear():

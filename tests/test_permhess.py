@@ -100,7 +100,7 @@ def test_hessian_quadratic_identity():
 
 
 def test_three_hessian_routes_agree():
-    for d in (2, 3, 4):
+    for d in (2, 3, 4, 5, 6):
         symbolic = hessian(perm_poly(d), perm_zero_point(d))
         fast = hessian_perm_fast(d)
         blocks = hessian_blocks(d)
