@@ -17,9 +17,17 @@ det(A(x) + lambda*I), and a head-1-restricted one, whose length-2k slice
 equals the degree-2k part of det(A(x) + J) where J is the diagonal with
 ones in the last n-1 positions.  Product-sum decompositions come from
 cutting a program in the middle or from peeling the trailing-ones
-diagonal one position at a time; every constructor re-verifies its output
-against an independently computed target polynomial and refuses to return
-an unverified object.
+diagonal one position at a time.
+
+Every constructor verifies its output and refuses to return an
+unverified object.  The pair sum and the target are forms of degree 2k in
+D variables, and two such forms are equal exactly when their values agree
+on the simplex lattice {e in N^D : |e| = 2k}, which is unisolvent for
+them (Chung and Yao 1977, principal lattices): C(D + 2k - 1, 2k) points,
+495 for D = 9 and k = 2.  The target slice is evaluated there without
+ever being expanded: at a lattice point the linear matrix is numeric, and
+the slice value is a sum of principal minors, each an integer
+determinant.
 """
 
 from __future__ import annotations
@@ -30,10 +38,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from birank.exactla import AffineMatrixPoly, trailing_ones_matrix
+from birank.exactla import AffineMatrixPoly, det_integer, trailing_ones_matrix
 from birank.polyring import (
     Point,
     Polynomial,
+    monomial_index_set,
     monomial_split,
     poly_from_json,
     poly_to_json,
@@ -305,30 +314,105 @@ def layer_widths(a: AffineMatrixPoly, total: int, restricted_to_vertex1: bool = 
     return [len(layers.get(s, {})) for s in range(1, total + 1)]
 
 
-def det_lambda_part(a: AffineMatrixPoly, r: int, m: int) -> Polynomial:
-    """Degree-m part of det(A(x) + J) for J the diagonal with ones in the
-    last r positions: the sum of principal m-minors containing the first
-    n - r rows.  Independent of the clow programs; used as the verification
-    target everywhere."""
+def det_lambda_part(a: AffineMatrixPoly, r: int, m: int) -> List[Fraction]:
+    """Exact values of the degree-m part of det(A(x) + J), J the diagonal
+    with ones in the last r positions, at the points of
+    monomial_index_set(D, m), in that order.
+
+    The slice is the sum of the principal m-minors of A(x) that contain
+    the first n - r rows.  A is linear, so at a lattice point e the matrix
+    A(e) is numeric: with L the lcm of the denominators of all coefficient
+    matrices, each minor of L*A(e) is an integer determinant, and the sum
+    is divided by L^m once.  The values fix the slice on the simplex
+    lattice (see the module docstring); independent of the clow programs,
+    they are the verification target everywhere.
+    """
     n = a.n
     if not 0 <= r <= n:
         raise ValueError(f"need 0 <= r <= {n}")
     if not a.is_linear():
         raise ValueError("det_lambda_part expects a linear matrix")
+    points = monomial_index_set(a.num_vars, m)
     mandatory = list(range(n - r))
     optional = list(range(n - r, n))
     need = m - len(mandatory)
-    total = Polynomial.zero(a.num_vars)
     if need < 0 or need > len(optional):
-        return total
-    for extra in itertools.combinations(optional, need):
-        idx = mandatory + list(extra)
-        total = total + a.submatrix(idx, idx).det_polynomial()
-    return total
+        return [Fraction(0)] * len(points)
+    subsets = [mandatory + list(extra) for extra in itertools.combinations(optional, need)]
+    scale = math.lcm(*(v.denominator for c in a.coeffs for row in c.entries for v in row))
+    ints = [
+        [[v.numerator * (scale // v.denominator) for v in row] for row in c.entries]
+        for c in a.coeffs
+    ]
+    values = []
+    for e in points:
+        terms = [(w, ints[l]) for l, w in enumerate(e) if w]
+        at_e = [[sum(w * b[i][j] for w, b in terms) for j in range(n)] for i in range(n)]
+        total = sum(det_integer([[at_e[i][j] for j in idx] for i in idx]) for idx in subsets)
+        values.append(Fraction(total, scale ** m))
+    return values
 
 
 # ---------------------------------------------------------------------------
 # Certified product-sum decompositions.
+
+
+def _integer_terms(p: Polynomial):
+    """The terms of p scaled to integers by the lcm of its denominators,
+    and that lcm."""
+    den = math.lcm(*(c.denominator for c in p.terms.values()))
+    return [(e, c.numerator * (den // c.denominator)) for e, c in p.terms.items()], den
+
+
+def _form_values(p: Polynomial, degree: int) -> List[Fraction]:
+    """Exact values of p at the points of monomial_index_set(D, degree).
+
+    Rejects p unless it is zero or a form of that degree: only between such
+    forms do the lattice values prove equality.  The terms are scaled to
+    integers by their common denominator, and a term only reaches the
+    points whose support contains its own, so each point sums the term
+    groups of the subsets of its support.
+    """
+    if not p.is_zero() and (not p.is_homogeneous() or p.degree() != degree):
+        raise DecompositionError(f"target is not a form of degree {degree}")
+    terms, den = _integer_terms(p)
+    groups: Dict[Tuple[int, ...], list] = {}
+    for exps, c in terms:
+        support = tuple(i for i, e in enumerate(exps) if e)
+        groups.setdefault(support, []).append(([(i, exps[i]) for i in support], c))
+    values = []
+    for e in monomial_index_set(p.num_vars, degree):
+        support = [i for i, w in enumerate(e) if w]
+        total = 0
+        for size in range(len(support) + 1):
+            for sub in itertools.combinations(support, size):
+                for powers, c in groups.get(sub, ()):
+                    value = c
+                    for i, k in powers:
+                        value *= e[i] ** k
+                    total += value
+        values.append(Fraction(total, den))
+    return values
+
+
+def _pair_sum(pairs, num_vars: int) -> Polynomial:
+    """sum(f * g) over the pairs, multiplied out on integers: each factor
+    is scaled by its own denominator and every product is brought to the
+    lcm of their denominators, divided out once per term at the end."""
+    scaled = []
+    for f, g in pairs:
+        (f_terms, f_den), (g_terms, g_den) = _integer_terms(f), _integer_terms(g)
+        scaled.append((f_terms, g_terms, f_den * g_den))
+    den = math.lcm(*(d for _, _, d in scaled))
+    acc: Dict[Tuple[int, ...], int] = {}
+    for f_terms, g_terms, d in scaled:
+        lift = den // d
+        for e1, c1 in f_terms:
+            c1 *= lift
+            for e2, c2 in g_terms:
+                key = tuple([a + b for a, b in zip(e1, e2)])
+                acc[key] = acc.get(key, 0) + c1 * c2
+    return Polynomial(num_vars, {e: Fraction(c, den) for e, c in acc.items() if c})
 
 
 @dataclass(frozen=True)
@@ -341,24 +425,42 @@ class BiDecomposition:
     target: Polynomial
 
     @classmethod
-    def build(cls, half_degree: int, pairs, target: Polynomial) -> "BiDecomposition":
+    def build(cls, half_degree: int, pairs, target, num_vars: Optional[int] = None) -> "BiDecomposition":
+        """Check the pairs and keep the nonzero ones.
+
+        target is either a Polynomial, which must be zero or a form of
+        degree 2 * half_degree, or the values of such a form at the points
+        of monomial_index_set(num_vars, 2 * half_degree), as det_lambda_part
+        returns them.  Every factor must be homogeneous of degree
+        half_degree; the symbolic pair sum is then evaluated on that
+        simplex lattice and must match the target's values exactly, which
+        proves the two forms equal.  The stored target is the verified
+        pair sum.
+        """
+        degree = 2 * half_degree
+        if isinstance(target, Polynomial):
+            num_vars = target.num_vars
+            expected = _form_values(target, degree)
+        elif num_vars is None:
+            raise ValueError("a target given by its lattice values needs num_vars")
+        else:
+            expected = list(target)
         kept = []
-        total = Polynomial.zero(target.num_vars)
         for f, g in pairs:
             if f.is_zero() or g.is_zero():
                 continue
             for factor in (f, g):
-                if factor.num_vars != target.num_vars:
+                if factor.num_vars != num_vars:
                     raise DecompositionError("factor lives in the wrong variable count")
                 if not factor.is_homogeneous() or factor.degree() != half_degree:
                     raise DecompositionError(
                         f"factor of degree {factor.degree()} is not homogeneous of degree {half_degree}"
                     )
             kept.append((f, g))
-            total = total + f * g
-        if total != target:
+        total = _pair_sum(kept, num_vars)
+        if _form_values(total, degree) != expected:
             raise DecompositionError("pairs do not re-multiply to the target")
-        return cls(half_degree=half_degree, pairs=tuple(kept), target=target)
+        return cls(half_degree=half_degree, pairs=tuple(kept), target=total)
 
     def __len__(self):
         return len(self.pairs)
@@ -499,7 +601,7 @@ def layer_decomposition(a: AffineMatrixPoly, k: int) -> BiDecomposition:
             continue
         pairs.append((f, g))
     target = det_lambda_part(a, n - 1, 2 * k)
-    return BiDecomposition.build(k, pairs, target)
+    return BiDecomposition.build(k, pairs, target, a.num_vars)
 
 
 def _laplace_pairs(a: AffineMatrixPoly, k: int):
@@ -551,8 +653,8 @@ def decompose_det_part(a: AffineMatrixPoly, k: int, r: int) -> BiDecomposition:
     each split in its middle; at r = n-2k a generalized Laplace expansion
     with binomial(2k, k) products; in between, a recursion that removes one
     trailing one per step and branches on deleting the corresponding row
-    and column.  The result always re-multiplies to the subset-minor
-    target or an error is raised.
+    and column.  The pair sum always matches the values of the subset-minor
+    target (det_lambda_part) on the simplex lattice, or an error is raised.
     """
     n = a.n
     if k < 1:
@@ -563,7 +665,7 @@ def decompose_det_part(a: AffineMatrixPoly, k: int, r: int) -> BiDecomposition:
         raise ValueError(f"need {max(0, n - 2 * k)} <= r <= {n - 1}")
     target = det_lambda_part(a, r, 2 * k)
     pairs = _det_part_pairs(a, k, r)
-    return BiDecomposition.build(k, pairs, target)
+    return BiDecomposition.build(k, pairs, target, a.num_vars)
 
 
 @dataclass(frozen=True)
@@ -601,7 +703,7 @@ def decompose_from_representation(q: AffineMatrixPoly, x0: Point, k: int) -> Rep
         # No principal 2k-minor contains all n-r mandatory rows: the degree
         # slice is identically zero and the empty decomposition is exact.
         target = det_lambda_part(a, r, 2 * k)
-        dec = BiDecomposition.build(k, [], target)
+        dec = BiDecomposition.build(k, [], target, a.num_vars)
     else:
         dec = decompose_det_part(a, k, r)
     bound = pipeline_pair_bound(n, k, q.num_vars)

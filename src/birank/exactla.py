@@ -11,11 +11,10 @@ diagonal repaired by adding one row and column to another.  No floating
 point anywhere.
 
 The module also hosts matrices whose entries are affine polynomials in
-x1..xD (AffineMatrixPoly) and the two normal forms used to turn a
+x1..xD (AffineMatrixPoly) and the normal form used to turn a
 determinantal representation det(Q(x)) = p(x) into a linear matrix plus
 a fixed constant part: at a singular point the constant part becomes a
-0/1 diagonal with the ones trailing, at a nonsingular point it becomes
-the identity with a scalar factor in front.
+0/1 diagonal with the ones trailing.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from birank.polyring import (
     fraction_from_json,
     fraction_to_json,
     point,
-    shift,
 )
 
 
@@ -232,14 +230,19 @@ def rank_exact(m: ExactMatrix) -> int:
     return len(pivots)
 
 
+def det_integer(rows) -> int:
+    """Determinant of a square integer matrix given as a list of row
+    lists, which are eliminated in place: the last pivot times the sign of
+    the row swaps, or 0 when a column has no pivot."""
+    pivots, sign, last = _eliminate(rows, len(rows))
+    return sign * last if len(pivots) == len(rows) else 0
+
+
 def det_exact(m: ExactMatrix) -> Fraction:
     if not m.is_square():
         raise ValueError("determinant needs a square matrix")
     rows, scale = _integer_rows(m.entries)
-    pivots, sign, last = _eliminate(rows, m.cols)
-    if len(pivots) < m.rows:
-        return Fraction(0)
-    return Fraction(sign * last, scale)
+    return Fraction(det_integer(rows), scale)
 
 
 def inverse_exact(m: ExactMatrix) -> ExactMatrix:
@@ -499,14 +502,16 @@ def _decompose_constant(m0: ExactMatrix):
     return ExactMatrix(s), inverse_exact(ExactMatrix(z)), r
 
 
-def singular_normal_form(q: AffineMatrixPoly, x0: Point, verify_limit: int = 4) -> SingularNormalForm:
+def singular_normal_form(q: AffineMatrixPoly, x0: Point) -> SingularNormalForm:
     """Normalize a representation around a point where its matrix is singular.
 
-    Returns S, T with det(S*T) = 1 such that S*Q(x0)*T is diagonal with
-    ones exactly in the last r positions, together with the transformed
-    linear part A(x) = S*(Q(x0 + x) - Q(x0))*T.  Then
-    det(A(x) + S*Q(x0)*T) = det(Q(x0 + x)).  Verified symbolically when
-    n <= verify_limit.
+    Returns S, T such that S*Q(x0)*T = J is diagonal with ones exactly in
+    the last r positions, together with the transformed linear part
+    A(x) = S*(Q(x0 + x) - Q(x0))*T.  At every size two exact checks run
+    before the form is returned: det(S)*det(T) = 1 and S*Q(x0)*T = J.  As
+    A(x) + J = S*Q(x0 + x)*T, they give det(A(x) + J) = det(Q(x0 + x)) by
+    the multiplicativity of the determinant; ArithmeticError if either
+    fails.
     """
     x0 = point(x0)
     m0 = q.evaluate(x0)
@@ -531,37 +536,12 @@ def singular_normal_form(q: AffineMatrixPoly, x0: Point, verify_limit: int = 4) 
     s = ExactMatrix(s_rows)
     t = ExactMatrix(t_rows)
     target = trailing_ones_matrix(n, r)
+    if det_exact(s) * det_exact(t) != 1:
+        raise ArithmeticError("normal form transforms do not have det(S)*det(T) = 1")
     if s @ m0 @ t != target:
         raise ArithmeticError("normal form construction failed")
     linear = q.linear_part().left_right_multiply(s, t)
-    form = SingularNormalForm(s=s, t=t, rank=r, linear=linear)
-    if n <= verify_limit:
-        lhs = linear.add_constant(target).det_polynomial()
-        rhs = shift(q.det_polynomial(), x0)
-        if lhs != rhs:
-            raise ArithmeticError("normal form verification failed")
-    return form
-
-
-def nonsingular_normal_form(q: AffineMatrixPoly, x0: Point, verify_limit: int = 4):
-    """Normalize around a point where Q(x0) is invertible.
-
-    Returns (A, alpha) with A(x) = Q(x0)^{-1} * (Q(x0 + x) - Q(x0)) linear
-    and alpha = det(Q(x0)), so alpha * det(A(x) + I) = det(Q(x0 + x)).
-    """
-    x0 = point(x0)
-    m0 = q.evaluate(x0)
-    alpha = det_exact(m0)
-    if not alpha:
-        raise ValueError("Q(x0) is singular; need an invertible point")
-    inv = inverse_exact(m0)
-    linear = q.linear_part().left_right_multiply(inv, ExactMatrix.identity(q.n))
-    if q.n <= verify_limit:
-        lhs = linear.add_constant(ExactMatrix.identity(q.n)).det_polynomial() * alpha
-        rhs = shift(q.det_polynomial(), x0)
-        if lhs != rhs:
-            raise ArithmeticError("normal form verification failed")
-    return linear, alpha
+    return SingularNormalForm(s=s, t=t, rank=r, linear=linear)
 
 
 # ---------------------------------------------------------------------------

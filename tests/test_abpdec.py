@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from birank.abpdec import (
     BiDecomposition,
     Clow,
     ClowSequence,
+    DecompositionError,
     char_coefficients,
     clow_sum_bruteforce,
     decompose_det_part,
@@ -23,11 +25,18 @@ from birank.abpdec import (
     layer_widths,
     pipeline_pair_bound,
 )
-from birank.exactla import AffineMatrixPoly, ExactMatrix, trailing_ones_matrix
+from birank.exactla import (
+    AffineMatrixPoly,
+    ExactMatrix,
+    rank_exact,
+    singular_normal_form,
+    trailing_ones_matrix,
+)
 from birank.polyring import (
     Polynomial,
     homogeneous_part,
     monomial_count,
+    monomial_index_set,
     point,
     shift,
 )
@@ -72,6 +81,48 @@ def char_coefficients_by_leibniz(a):
         k = n - lam_power
         out[k] = out[k] + Polynomial.monomial(num_vars, exps[:-1], coeff)
     return out
+
+
+def leibniz_slice(a, r, m):
+    # Oracle: the degree-m part of det(A(x) + J), J with r trailing ones, as
+    # a symbolic sum of Leibniz-expanded principal m-minors containing the
+    # first n - r rows.
+    n = a.n
+    mandatory = list(range(n - r))
+    total = Polynomial.zero(a.num_vars)
+    if m < len(mandatory):
+        return total
+    for extra in itertools.combinations(range(n - r, n), m - len(mandatory)):
+        idx = mandatory + list(extra)
+        total = total + a.submatrix(idx, idx).det_polynomial()
+    return total
+
+
+def lattice_values(p, m):
+    # Plain Fraction evaluation at the simplex lattice points, in order.
+    return [p.eval(point(e)) for e in monomial_index_set(p.num_vars, m)]
+
+
+def rational_normal_form(rng, n, num_vars, corank):
+    # The linear part of a normal form: a random rational representation
+    # whose matrix at x0 has the given corank, normalized there.
+    def entry():
+        return Fraction(rng.randint(-2, 2), rng.choice([1, 2, 3]))
+
+    r = n - corank
+    while True:
+        g = ExactMatrix([[entry() for _ in range(r)] for _ in range(n)])
+        h = ExactMatrix([[entry() for _ in range(n)] for _ in range(r)])
+        m0 = g @ h if r else ExactMatrix.zeros(n, n)
+        if rank_exact(m0) == r:
+            break
+    coeffs = [ExactMatrix([[entry() for _ in range(n)] for _ in range(n)]) for _ in range(num_vars)]
+    x0 = point(entry() for _ in range(num_vars))
+    const = m0
+    for x, c in zip(x0, coeffs):
+        const = const - c.scale(x)
+    q = AffineMatrixPoly(const, coeffs)
+    return q, x0, singular_normal_form(q, x0)
 
 
 def test_clow_validation():
@@ -132,10 +183,10 @@ def test_restricted_program_matches_trailing_ones_slice():
         n = rng.randint(2, 4)
         a = random_linear_matrix(rng, n, 2)
         for k in (1, 2):
-            target = det_lambda_part(a, n - 1, 2 * k)
             brute = clow_sum_bruteforce(a, 2 * k, restricted_to_vertex1=True)
             signed = brute if (n - 2 * k) % 2 == 0 else -brute
-            assert signed == target
+            assert signed == leibniz_slice(a, n - 1, 2 * k)
+            assert det_lambda_part(a, n - 1, 2 * k) == lattice_values(signed, 2 * k)
 
 
 def test_layer_widths_within_square_bound():
@@ -156,7 +207,7 @@ def test_layer_decomposition_count_bounded_by_width():
         dec = layer_decomposition(a, k)
         widths = layer_widths(a, 2 * k, restricted_to_vertex1=True)
         assert len(dec.pairs) <= widths[k]  # width of the split layer (k+1 vertices)
-        assert dec.target == det_lambda_part(a, n - 1, 2 * k)
+        assert dec.target == leibniz_slice(a, n - 1, 2 * k)
 
 
 def test_decompose_head_slice_counts():
@@ -290,6 +341,68 @@ def test_decomposition_json_round_trip():
     back = decomposition_from_json(obj)
     assert back.half_degree == 1
     assert back.target == rep.decomposition.target
+
+
+def test_det_lambda_part_lattice_values_match_leibniz():
+    # Every r and every slice degree m, on rational linear parts of normal
+    # forms; zero slices come back as all-zero value lists.
+    rng = random.Random(12)
+    for n in range(1, 6):
+        num_vars = 2 if n == 5 else 3
+        for corank in sorted({1, n}):
+            q, x0, form = rational_normal_form(rng, n, num_vars, corank)
+            a = form.linear
+            assert any(v.denominator > 1 for c in a.coeffs for row in c.entries for v in row)
+            for r in range(n + 1):
+                for m in range(n + 1):
+                    got = det_lambda_part(a, r, m)
+                    assert got == lattice_values(leibniz_slice(a, r, m), m), (n, r, m)
+                    assert len(got) == monomial_count(num_vars, m)
+            assert det_lambda_part(a, form.rank, n) == lattice_values(
+                homogeneous_part(shift(q.det_polynomial(), x0), n), n
+            )
+
+
+def test_build_rejects_one_changed_coefficient_at_7x7():
+    rng = random.Random(13)
+    q, x0, form = rational_normal_form(rng, 7, 3, 1)
+    a, r = form.linear, form.rank
+    dec = decompose_from_representation(q, x0, 2).decomposition
+    target = det_lambda_part(a, r, 4)
+    assert BiDecomposition.build(2, dec.pairs, target, 3).target == dec.target
+    for index in (0, len(dec.pairs) // 2, len(dec.pairs) - 1):
+        f, g = dec.pairs[index]
+        for factor in (f, g):
+            exps = factor.sorted_terms()[-1][0]
+            changed = factor + Polynomial.monomial(3, exps, Fraction(1, 7))
+            pairs = list(dec.pairs)
+            pairs[index] = (changed, g) if factor is f else (f, changed)
+            with pytest.raises(DecompositionError):
+                BiDecomposition.build(2, pairs, target, 3)
+
+
+def test_build_rejects_polynomial_targets_that_are_not_forms():
+    x1 = Polynomial.variable(2, 0)
+    x2 = Polynomial.variable(2, 1)
+    pairs = [(x1, x2)]
+    # Both targets agree with x1*x2 on the lattice x1 + x2 = 2, so only the
+    # form check can refuse them.
+    inhomogeneous = x1 * x2 + (x1 + x2) * (x1 + x2) - 4
+    wrong_degree = x1 * x2 * (x1 + x2) * Fraction(1, 2)
+    for target in (inhomogeneous, wrong_degree):
+        assert lattice_values(target, 2) == lattice_values(x1 * x2, 2)
+        with pytest.raises(DecompositionError):
+            BiDecomposition.build(1, pairs, target)
+    assert BiDecomposition.build(1, pairs, x1 * x2).target == x1 * x2
+    # The empty decomposition verifies against an all-zero target only.
+    assert BiDecomposition.build(1, [], Polynomial.zero(2)).target.is_zero()
+    assert BiDecomposition.build(2, [], [Fraction(0)] * 5, 2).target.is_zero()
+    with pytest.raises(DecompositionError):
+        BiDecomposition.build(1, [], x1 * x2)
+    with pytest.raises(DecompositionError):
+        BiDecomposition.build(1, pairs, lattice_values(x1 * x2, 2)[:-1], 2)
+    with pytest.raises(ValueError):
+        BiDecomposition.build(1, pairs, lattice_values(x1 * x2, 2))
 
 
 def test_bidecomposition_rejects_bad_pairs():

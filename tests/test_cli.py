@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -254,7 +255,8 @@ def test_module_entry_point(tmp_path):
 
 
 # Byte-identity guard: stdout digests recorded before the exact-arithmetic
-# kernel was rewritten.  Any change here is a behaviour change.
+# kernel was rewritten (the 7x7 case before decompositions were verified on
+# the simplex lattice).  Any change here is a behaviour change.
 def leading_zero_rep_file(tmp_path):
     # A 5x5 representation in 3 variables whose matrix at GOLDEN_X0 has the
     # columns [0, 0, a, b, c] of rank 3, with mixed denominators.
@@ -279,6 +281,27 @@ def leading_zero_rep_file(tmp_path):
     return write_json(tmp_path / "rep5.json", affine_to_json(a)), "1,-1/2,2"
 
 
+def rep7_file(tmp_path):
+    # A 7x7 representation in 4 variables whose matrix at x0 is G*H with
+    # G 7x5 and H 5x7, so its corank is 2; entries carry mixed denominators.
+    rng = random.Random(2026)
+
+    def entry():
+        return Fraction(rng.randint(-3, 3), rng.choice([1, 1, 2, 3]))
+
+    g = [[entry() for _ in range(5)] for _ in range(7)]
+    h = [[entry() for _ in range(7)] for _ in range(5)]
+    m0 = [[sum(g[i][l] * h[l][j] for l in range(5)) for j in range(7)] for i in range(7)]
+    coeffs = [[[entry() for _ in range(7)] for _ in range(7)] for _ in range(4)]
+    x0 = [Fraction(1), Fraction(-1, 2), Fraction(2), Fraction(1, 3)]
+    const = [
+        [m0[i][j] - sum(x * c[i][j] for x, c in zip(x0, coeffs)) for j in range(7)]
+        for i in range(7)
+    ]
+    a = AffineMatrixPoly(ExactMatrix(const), [ExactMatrix(c) for c in coeffs])
+    return write_json(tmp_path / "rep7.json", affine_to_json(a)), "1,-1/2,2,1/3"
+
+
 def binary_quartic_file(tmp_path):
     p = Polynomial(2, {(4, 0): 1, (3, 1): Fraction(-1, 2), (2, 2): 3, (1, 3): 2, (0, 4): Fraction(5, 3)})
     return write_json(tmp_path / "quartic.json", poly_to_json(p))
@@ -288,6 +311,7 @@ GOLDEN_DIGESTS = {
     "hessian-d5-matrix": "f03c55dcfc81916e16fc3045c906c5a60969d8ce6149de94835121edcebeee9a",
     "decompose-k1": "e6dd0544399d34ea53b35369d09d746fb1e83392afe6abc5f39186f8acd77335",
     "decompose-k2": "b605c2239b9bd5a14fbc17b6573afdf52cc7730aa6063d95e22f9a9cca509ce7",
+    "decompose-7x7-k2": "b75229a84314f5cc553611b52fde1179d9ed30bf705b8d9016267d3c7377e02e",
     "interval-xp": "c7faaed89e85fdc777e8f152fa0b2211c784fdce0df1b3334677cf027e2ec654",
     "interval-sym": "a0973844402dd3978f77fe2fcabc9b6bc7531db3002b1ecb5fa966f4b7a7cb55",
     "mv-det": "7d7aa7d93c90e70a2de48744e26fab79655d75d01fe3a06121466c4373904dea",
@@ -296,11 +320,13 @@ GOLDEN_DIGESTS = {
 
 def golden_commands(tmp_path):
     rep, x0 = leading_zero_rep_file(tmp_path)
+    rep7, x07 = rep7_file(tmp_path)
     quartic = binary_quartic_file(tmp_path)
     return {
         "hessian-d5-matrix": ["hessian", "--d", "5", "--include-matrix"],
         "decompose-k1": ["decompose", "--matrix", rep, f"--x0={x0}", "--k", "1"],
         "decompose-k2": ["decompose", "--matrix", rep, f"--x0={x0}", "--k", "2"],
+        "decompose-7x7-k2": ["decompose", "--matrix", rep7, f"--x0={x07}", "--k", "2"],
         "interval-xp": ["brank-interval", "--poly", quartic, "--kind", "xp"],
         "interval-sym": ["brank-interval", "--poly", quartic, "--kind", "sym"],
         "mv-det": ["mv-det", "--matrix", rep],

@@ -22,8 +22,8 @@ from birank.exactla import (
     singular_normal_form,
     solve_linear,
     trailing_ones_matrix,
-    nonsingular_normal_form,
 )
+from birank import exactla
 from birank.polyring import Polynomial, homogeneous_part, point, shift
 
 
@@ -324,8 +324,8 @@ def test_singular_normal_form_perm2():
     lam = trailing_ones_matrix(2, 1)
     assert form.s @ q.evaluate(x0) @ form.t == lam
     assert det_exact(form.s) * det_exact(form.t) == 1
-    # The construction's own symbolic verification ran (n <= 4); check the
-    # degree-2 slice is the shifted permanent's quadratic part too.
+    # Symbolic oracle for the identity the construction's exact checks
+    # imply; the degree-2 slice is the shifted permanent's quadratic part.
     p_shifted = shift(q.det_polynomial(), x0)
     lhs = form.linear.add_constant(lam).det_polynomial()
     assert lhs == p_shifted
@@ -348,7 +348,63 @@ def test_singular_normal_form_random():
         assert form.s @ const @ form.t == lam
         assert det_exact(form.s) * det_exact(form.t) == 1
         assert form.linear.is_linear()
+        # Symbolic oracle for the identity the two exact checks imply.
+        assert form.linear.add_constant(lam).det_polynomial() == q.det_polynomial()
         built += 1
+
+
+def corank_representation(rng, n, num_vars, corank, x0):
+    # Q(x) = G*H + sum_l (x_l - x0_l) * M_l with G n x (n - corank) and
+    # H (n - corank) x n, rational entries; redrawn until Q(x0) = G*H has
+    # exactly the requested corank.
+    def entry():
+        return Fraction(rng.randint(-3, 3), rng.choice([1, 1, 2, 3]))
+
+    r = n - corank
+    while True:
+        m0 = random_matrix(rng, n, r, span=3) @ random_matrix(rng, r, n, span=3)
+        if rank_exact(m0) == r:
+            break
+    coeffs = [ExactMatrix([[entry() for _ in range(n)] for _ in range(n)]) for _ in range(num_vars)]
+    const = m0
+    for x, c in zip(x0, coeffs):
+        const = const - c.scale(x)
+    return AffineMatrixPoly(const, coeffs)
+
+
+def test_singular_normal_form_7x7_by_evaluation():
+    # Above 4x4 the symbolic identity is out of reach for the oracle, so
+    # det(A(t*y) + J) = det(Q(x0 + t*y)) is checked at integer points.
+    rng = random.Random(13)
+    x0 = point([1, "-1/2", 2, "1/3"])
+    for corank in (1, 3):
+        q = corank_representation(rng, 7, 4, corank, x0)
+        form = singular_normal_form(q, x0)
+        assert form.rank == 7 - corank
+        lam = trailing_ones_matrix(7, form.rank)
+        assert det_exact(form.s) * det_exact(form.t) == 1
+        for _ in range(3):
+            y = [rng.randint(-3, 3) for _ in range(4)]
+            for t in (1, 2, -3):
+                ty = point(t * v for v in y)
+                lhs = det_exact(form.linear.evaluate(ty) + lam)
+                rhs = det_exact(q.evaluate(point(a + b for a, b in zip(x0, ty))))
+                assert lhs == rhs
+
+
+def test_singular_normal_form_rejects_a_wrong_transform(monkeypatch):
+    # A T off by a factor 2 still passes the determinant rescale, but
+    # S*Q(x0)*T = 2J fails the exact check.
+    decompose = exactla._decompose_constant
+
+    def doubled(m0):
+        s, t, r = decompose(m0)
+        return s, t.scale(2), r
+
+    monkeypatch.setattr(exactla, "_decompose_constant", doubled)
+    q = corank_representation(random.Random(14), 7, 4, 1, point([1, 0, 0, 2]))
+    with pytest.raises(ArithmeticError):
+        singular_normal_form(q, point([1, 0, 0, 2]))
 
 
 def test_singular_normal_form_rejects_invertible_point():
@@ -357,12 +413,26 @@ def test_singular_normal_form_rejects_invertible_point():
         singular_normal_form(q, point([1, 0, 0, 1]))
 
 
+def nonsingular_normal_form(q, x0):
+    # Oracle for an invertible Q(x0): A(x) = Q(x0)^{-1} * (Q(x0 + x) - Q(x0))
+    # is linear and alpha = det(Q(x0)), so alpha * det(A(x) + I) = det(Q(x0 + x)).
+    x0 = point(x0)
+    m0 = q.evaluate(x0)
+    alpha = det_exact(m0)
+    if not alpha:
+        raise ValueError("Q(x0) is singular; need an invertible point")
+    linear = q.linear_part().left_right_multiply(inverse_exact(m0), ExactMatrix.identity(q.n))
+    return linear, alpha
+
+
 def test_nonsingular_normal_form_perm2():
     q = perm2_representation()
     x0 = point([1, 0, 0, 1])
     linear, alpha = nonsingular_normal_form(q, x0)
     assert alpha == 1
     assert linear.is_linear()
+    lhs = linear.add_constant(ExactMatrix.identity(2)).det_polynomial() * alpha
+    assert lhs == shift(q.det_polynomial(), x0)
     with pytest.raises(ValueError):
         nonsingular_normal_form(q, point([1, 1, 1, -1]))
 
