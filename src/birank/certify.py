@@ -6,10 +6,13 @@ forces at least n - l + 1 nonzero eigenvalues, hence rank(Y) > n - l.
 Minimizing a concave function over a polytope lands on a vertex, so
 checking mu at the vertices of an outer approximation of a solution set
 certifies a rank lower bound over the whole set.  This module provides
-the eigenvalue machinery (a cyclic Jacobi solver, kept independent of
-numpy.linalg so the latter can serve as a cross-check), the mu/PSD
-helpers, dual certificates that witness a value of mu, and the vertex
-certification entry points.
+the eigenvalue machinery (a Jacobi solver in the round-robin ordering of
+Brent and Luk, "The solution of singular-value and symmetric eigenvalue
+problems on multiprocessor arrays", SIAM J. Sci. Stat. Comput. 6, 1985,
+which rotates n/2 disjoint planes per vectorised step; it is kept
+independent of numpy.linalg so the latter can serve as a cross-check), the
+mu/PSD helpers, dual certificates that witness a value of mu, and the
+vertex certification entry points.
 
 Every acceptance threshold is relative: tolerances scale with the max
 absolute entry of the matrices involved, never with fixed absolute
@@ -53,58 +56,93 @@ def norm_scale(a) -> float:
     return max(1.0, float(np.max(np.abs(a))) if a.size else 1.0)
 
 
-def jacobi_eigh(m, rel_tol: float = 1e-12, max_sweeps: int = 100):
-    """Eigenvalues (ascending) and orthonormal eigenvector columns of a
-    symmetric matrix, by cyclic Jacobi rotations.
+def _round_robin(n: int):
+    """Brent and Luk's round-robin ordering of the index pairs of an n x n
+    matrix: n - 1 rounds (n rounded up to even), each a set of disjoint
+    pairs, together holding every pair p != q exactly once.  The indices
+    sit at a table of two rows; index 0 stays put and the others move one
+    seat round the table after each round.  For odd n a padding index n
+    takes a seat, and its partner has a bye."""
+    m = n + n % 2
+    ring = list(range(1, m))
+    rounds = []
+    for _ in range(m - 1):
+        seats = [0] + ring
+        pairs = [(seats[i], seats[m - 1 - i]) for i in range(m // 2)]
+        pairs = [pair for pair in pairs if max(pair) < n]
+        rounds.append((
+            np.array([p for p, _ in pairs], dtype=np.intp),
+            np.array([q for _, q in pairs], dtype=np.intp),
+        ))
+        ring = ring[-1:] + ring[:-1]
+    return rounds
 
-    Sweeps rotate every off-diagonal plane; convergence is reached when
-    the off-diagonal Frobenius norm drops below rel_tol times the entry
-    scale of the input.  Raises ArithmeticError if max_sweeps sweeps do
-    not converge (symmetric input always converges long before that).
+
+def jacobi_eigh(m, rel_tol: float = 1e-12, max_sweeps: int = 100, vectors: bool = True):
+    """Eigenvalues (ascending) and orthonormal eigenvector columns of a
+    symmetric matrix, by Jacobi rotations in the round-robin ordering of
+    Brent and Luk (1985); with ``vectors=False`` only the eigenvalues,
+    and no eigenvector updates are made.
+
+    A sweep is n - 1 rounds.  The pairs of a round are disjoint, so their
+    rotations commute and one vectorised step applies them all: it is the
+    same as applying them one after another.  A rotation whose
+    off-diagonal entry is at most rel_tol * scale / n^2 is skipped.
+    Convergence is reached when the off-diagonal Frobenius norm is at
+    most rel_tol times the entry scale of the input; it is tested before
+    every sweep and once after the last.  Raises ArithmeticError if
+    max_sweeps sweeps do not converge (symmetric input always converges
+    long before that).
     """
+    if max_sweeps < 0:
+        raise ValueError("max_sweeps must be nonnegative")
     a = sym_part(m)
     n = a.shape[0]
-    v = np.eye(n)
+    v = np.eye(n) if vectors else None
     scale = norm_scale(a)
-    if n < 2:
-        return a.diagonal().copy(), v
-    for _ in range(max_sweeps):
+    skip = rel_tol * scale / max(1, n * n)
+    rounds = _round_robin(n)
+    for sweep in range(max_sweeps + 1):
         # Summing the squared total and subtracting the diagonal cancels
         # catastrophically near convergence; sum the off-diagonal directly.
         offdiag = a.copy()
         np.fill_diagonal(offdiag, 0.0)
-        off = math.sqrt(float(np.sum(offdiag * offdiag)))
-        if off <= rel_tol * scale:
+        if math.sqrt(float(np.sum(offdiag * offdiag))) <= rel_tol * scale:
             break
-        skip = rel_tol * scale / (n * n)
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= skip:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.hypot(t, 1.0)
-                s = t * c
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    else:
-        raise ArithmeticError("Jacobi iteration did not converge")
+        if sweep == max_sweeps:
+            raise ArithmeticError("Jacobi iteration did not converge")
+        for p, q in rounds:
+            apq = a[p, q]
+            big = np.abs(apq) > skip
+            p, q, apq = p[big], q[big], apq[big]
+            if not p.size:
+                continue
+            theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+            t = np.copysign(1.0, theta) / (np.abs(theta) + np.hypot(theta, 1.0))
+            c = 1.0 / np.hypot(t, 1.0)
+            s = t * c
+            # Advanced indexing copies, so each right-hand side reads the
+            # entries from before this round's update.
+            cr, sr = c[:, None], s[:, None]
+            rp, rq = a[p], a[q]
+            a[p] = cr * rp - sr * rq
+            a[q] = sr * rp + cr * rq
+            cp, cq = a[:, p], a[:, q]
+            a[:, p] = cp * c - cq * s
+            a[:, q] = cp * s + cq * c
+            if vectors:
+                vp, vq = v[:, p], v[:, q]
+                v[:, p] = vp * c - vq * s
+                v[:, q] = vp * s + vq * c
     vals = a.diagonal().copy()
     order = np.argsort(vals, kind="stable")
+    if not vectors:
+        return vals[order]
     return vals[order], v[:, order]
 
 
 def eigenvalues(m) -> np.ndarray:
-    vals, _ = jacobi_eigh(m)
-    return vals
+    return jacobi_eigh(m, vectors=False)
 
 
 def mu(m, l: int) -> float:
@@ -208,41 +246,52 @@ def certify_minrank(vertices: Sequence, r: int, tol: float = 1e-9) -> OuterAppro
     eigenvalues, and concavity of mu_l pins its hull minimum to a vertex.
     Accepts when every vertex value exceeds n * tol * scale.
     """
-    mats = [sym_part(v) for v in vertices]
-    if not mats:
+    return _certify_blocks([(sym_part(v),) for v in vertices], r, tol)
+
+
+def certify_brank(pair_vertices: Sequence, r: int, tol: float = 1e-9) -> OuterApproxCertificate:
+    """Same certification for pair solutions (P, N): the summed rank is
+    the rank of the block-diagonal embedding diag(P, N), so the vertices
+    are certified at twice the size.  The embedding is never built: its
+    spectrum is the union of the two blocks' spectra."""
+    blocks = []
+    for pair in pair_vertices:
+        if len(pair) != 2:
+            raise ValueError(f"a pair vertex must hold exactly two blocks, got {len(pair)}")
+        a, b = sym_part(pair[0]), sym_part(pair[1])
+        if a.shape != b.shape:
+            raise ValueError("pair blocks must share one size")
+        blocks.append((a, b))
+    return _certify_blocks(blocks, r, tol)
+
+
+def _certify_blocks(vertices, r: int, tol: float) -> OuterApproxCertificate:
+    """Vertex certification of block-diagonal vertices, each given as the
+    tuple of its symmetric diagonal blocks.  mu_l of a vertex is the sum
+    of the l smallest eigenvalues of its blocks, merged; n, the entry
+    scale and the threshold are those of the whole vertex."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
+    if not vertices:
         raise ValueError("need at least one vertex")
-    n = mats[0].shape[0]
-    if any(a.shape[0] != n for a in mats):
+    sizes = {sum(a.shape[0] for a in blocks) for blocks in vertices}
+    if len(sizes) != 1:
         raise ValueError("vertices must share one size")
+    n = sizes.pop()
     if not 0 <= r < n:
         raise ValueError(f"need 0 <= r < {n}")
     l = n - r
-    scale = max(norm_scale(a) for a in mats)
+    scale = max(norm_scale(a) for blocks in vertices for a in blocks)
     threshold = n * tol * scale
-    vertex_mu = tuple(mu(a, l) for a in mats)
+    vertex_mu = tuple(
+        float(np.sum(np.sort(np.concatenate([eigenvalues(a) for a in blocks]))[:l]))
+        for blocks in vertices
+    )
     margin = min(vertex_mu) - threshold
     return OuterApproxCertificate(
         r=r, l=l, vertex_mu=vertex_mu, threshold=threshold,
         margin=margin, accepted=margin > 0,
     )
-
-
-def certify_brank(pair_vertices: Sequence, r: int, tol: float = 1e-9) -> OuterApproxCertificate:
-    """Same certification for pair solutions (P, N): the summed rank is
-    the rank of the block-diagonal embedding, so the vertices are embedded
-    into twice the size and certified there."""
-    embedded = []
-    for plus, minus in pair_vertices:
-        a = sym_part(plus)
-        b = sym_part(minus)
-        if a.shape != b.shape:
-            raise ValueError("pair blocks must share one size")
-        n = a.shape[0]
-        big = np.zeros((2 * n, 2 * n))
-        big[:n, :n] = a
-        big[n:, n:] = b
-        embedded.append(big)
-    return certify_minrank(embedded, r, tol)
 
 
 def certificate_to_json(cert: OuterApproxCertificate) -> dict:

@@ -213,6 +213,8 @@ def cmd_certify(args: argparse.Namespace) -> int:
         raise UsageError("certify needs --vertices FILE and --r")
     if args.r < 0:
         raise UsageError("--r must be nonnegative")
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise UsageError("--tol must be finite and nonnegative")
     data = _load_json(args.vertices_path)
     if not isinstance(data, dict) or "vertices" not in data:
         raise UsageError("vertices file must be an object with a 'vertices' list")
@@ -221,8 +223,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
         raise UsageError("vertices list is empty")
     try:
         if args.pair:
-            pairs = [(v[0], v[1]) for v in vertices]
-            cert = certify.certify_brank(pairs, args.r, tol=args.tol)
+            cert = certify.certify_brank(vertices, args.r, tol=args.tol)
         else:
             cert = certify.certify_minrank(vertices, args.r, tol=args.tol)
     except (ValueError, TypeError, IndexError) as exc:

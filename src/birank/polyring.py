@@ -60,6 +60,16 @@ class Polynomial:
         object.__setattr__(self, "num_vars", num_vars)
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _trusted(cls, num_vars: int, terms: dict) -> "Polynomial":
+        """Wrap terms that arithmetic on valid polynomials produced: their
+        exponents and Fraction coefficients need no validation, and only
+        zero coefficients are dropped."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "num_vars", num_vars)
+        object.__setattr__(poly, "terms", {e: c for e, c in terms.items() if c})
+        return poly
+
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
@@ -116,12 +126,12 @@ class Polynomial:
         acc = dict(self.terms)
         for exps, coeff in other.terms.items():
             acc[exps] = acc.get(exps, Fraction(0)) + coeff
-        return Polynomial(self.num_vars, acc)
+        return Polynomial._trusted(self.num_vars, acc)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.num_vars, {e: -c for e, c in self.terms.items()})
+        return Polynomial._trusted(self.num_vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -136,7 +146,7 @@ class Polynomial:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             factor = as_fraction(other)
-            return Polynomial(self.num_vars, {e: c * factor for e, c in self.terms.items()})
+            return Polynomial._trusted(self.num_vars, {e: c * factor for e, c in self.terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_same_ring(other)
@@ -145,7 +155,7 @@ class Polynomial:
             for e2, c2 in other.terms.items():
                 key = tuple(a + b for a, b in zip(e1, e2))
                 acc[key] = acc.get(key, Fraction(0)) + c1 * c2
-        return Polynomial(self.num_vars, acc)
+        return Polynomial._trusted(self.num_vars, acc)
 
     __rmul__ = __mul__
 

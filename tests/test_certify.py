@@ -21,6 +21,7 @@ from birank.certify import (
     psd_check,
     sym_part,
     to_float_array,
+    _round_robin,
 )
 from birank.exactla import ExactMatrix, rank_exact
 
@@ -68,6 +69,79 @@ def test_jacobi_eigenvectors():
         assert np.max(np.abs(a @ vecs - vecs * vals)) <= 1e-8 * scale * n
         assert np.max(np.abs(vecs.T @ vecs - np.eye(n))) <= 1e-10 * n
         assert all(vals[i] <= vals[i + 1] + 1e-12 * scale for i in range(n - 1))
+
+
+def known_spectrum(np_rng, spectrum):
+    q, _ = np.linalg.qr(np_rng.normal(size=(len(spectrum), len(spectrum))))
+    a = (q * np.asarray(spectrum, dtype=float)) @ q.T
+    return (a + a.T) / 2.0
+
+
+def test_round_robin_covers_every_pair_once():
+    for n in range(1, 10):
+        rounds = _round_robin(n)
+        assert len(rounds) == n - 1 + n % 2
+        seen = []
+        for p, q in rounds:
+            # Disjoint pairs: no index twice in one round.
+            assert len(set(p.tolist()) | set(q.tolist())) == 2 * len(p)
+            seen += [tuple(sorted(pair)) for pair in zip(p.tolist(), q.tolist())]
+        assert sorted(seen) == [(p, q) for p in range(n) for q in range(p + 1, n)]
+
+
+def test_jacobi_round_robin_matches_eigvalsh_at_sizes():
+    np_rng = np.random.default_rng(61)
+    for n in (1, 2, 3, 61, 120):
+        inputs = [
+            np_rng.uniform(-5.0, 5.0, size=(n, n)),
+            np.zeros((n, n)),
+            np.diag(np_rng.uniform(-5.0, 5.0, size=n)),
+            # Repeated eigenvalues: three values shared by all n.
+            known_spectrum(np_rng, [float(k % 3) - 1.0 for k in range(n)]),
+        ]
+        if n >= 2:
+            half = n // 2
+            blocks = np.zeros((n, n))
+            blocks[:half, :half] = known_spectrum(np_rng, np.arange(half) / 8.0)
+            blocks[half:, half:] = known_spectrum(np_rng, np.arange(n - half) / 8.0 - 1.0)
+            inputs.append(blocks)
+        for m in inputs:
+            a = sym_part(m)
+            vals = jacobi_eigh(a, vectors=False)
+            assert vals.shape == (n,)
+            assert all(vals[i] <= vals[i + 1] for i in range(n - 1))
+            want = np.linalg.eigvalsh(a)
+            assert np.max(np.abs(vals - want), initial=0.0) <= 1e-12 * n * norm_scale(a)
+            if n <= 61:
+                # The eigenvector updates never feed back into the matrix.
+                full, vecs = jacobi_eigh(a)
+                assert np.array_equal(full, vals) and vecs.shape == (n, n)
+                assert np.array_equal(eigenvalues(a), vals)
+
+
+def test_jacobi_eigenvectors_at_61():
+    np_rng = np.random.default_rng(62)
+    n = 61
+    for a in (sym_part(np_rng.uniform(-5.0, 5.0, size=(n, n))),
+              known_spectrum(np_rng, [float(k % 4) for k in range(n)])):
+        vals, vecs = jacobi_eigh(a)
+        scale = norm_scale(a)
+        assert np.max(np.abs(vecs.T @ vecs - np.eye(n))) <= 1e-12 * n
+        assert np.max(np.abs(a @ vecs - vecs * vals)) <= 1e-12 * n * scale
+
+
+def test_jacobi_tests_convergence_after_the_last_sweep():
+    # One rotation diagonalises a 2x2 matrix, and a diagonal matrix needs
+    # none; both used to raise because the test ran only before a sweep.
+    vals, vecs = jacobi_eigh([[2.0, 1.0], [1.0, 3.0]], max_sweeps=1)
+    assert np.max(np.abs(vals - np.linalg.eigvalsh([[2.0, 1.0], [1.0, 3.0]]))) <= 1e-14
+    vals, vecs = jacobi_eigh(np.diag([3.0, -1.0, 2.0]), max_sweeps=0)
+    assert vals.tolist() == [-1.0, 2.0, 3.0]
+    assert vecs.tolist() == [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+    with pytest.raises(ArithmeticError):
+        jacobi_eigh([[2.0, 1.0], [1.0, 3.0]], max_sweeps=0)
+    with pytest.raises(ValueError):
+        jacobi_eigh(np.eye(2), max_sweeps=-1)
 
 
 def test_mu_known_values():
@@ -237,6 +311,50 @@ def test_certify_brank_pair_embedding():
         assert cert.accepted == (r < 2)
     with pytest.raises(ValueError):
         certify_brank([(np.eye(2), np.eye(3))], 1)
+
+
+def test_certify_brank_matches_explicit_embedding():
+    rng = random.Random(16)
+    for _ in range(10):
+        m = rng.randint(1, 6)
+        pairs = [
+            (random_gram(rng, m, rng.randint(1, m)), random_symmetric(rng, m) if rng.random() < 0.3
+             else random_gram(rng, m, rng.randint(1, m)))
+            for _ in range(rng.randint(1, 3))
+        ]
+        embedded = []
+        for plus, minus in pairs:
+            big = np.zeros((2 * m, 2 * m))
+            big[:m, :m] = plus
+            big[m:, m:] = minus
+            embedded.append(big)
+        scale = max(norm_scale(big) for big in embedded)
+        for r in range(2 * m):
+            got = certify_brank(pairs, r)
+            want = certify_minrank(embedded, r)
+            assert (got.r, got.l, got.threshold, got.accepted) == (want.r, want.l, want.threshold, want.accepted)
+            for g, w in zip(got.vertex_mu, want.vertex_mu):
+                assert abs(g - w) <= 1e-12 * 2 * m * scale
+
+
+def test_certify_rejects_bad_tolerances():
+    # With tol = -1 the threshold was negative, and the hull of these two
+    # vertices, which holds the zero matrix, was certified to have rank 2.
+    vertices = [np.diag([1.0, -1.0]), np.diag([-1.0, 1.0])]
+    pair = [(np.eye(1), np.eye(1))]
+    for tol in (-1.0, -1e-300, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol"):
+            certify_minrank(vertices, 1, tol=tol)
+        with pytest.raises(ValueError, match="tol"):
+            certify_brank(pair, 1, tol=tol)
+    assert not certify_minrank(vertices, 1, tol=0.0).accepted
+    assert certify_brank(pair, 1, tol=0.0).accepted
+
+
+def test_certify_brank_needs_two_blocks_per_vertex():
+    for vertex in ([np.eye(2)], [np.eye(2), np.eye(2), np.zeros((2, 2))]):
+        with pytest.raises(ValueError, match="exactly two blocks"):
+            certify_brank([(np.eye(2), np.eye(2)), vertex], 1)
 
 
 def test_certificate_json():

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from birank.cli import canonical_json, main
@@ -229,6 +230,65 @@ def test_certify_rejects_non_finite_vertices(tmp_path, capsys):
         assert captured.err.count("\n") == 1 and "finite" in captured.err
     with pytest.raises(ValueError):
         canonical_json({"mu": float("nan")})
+
+
+def known_spectrum_pair(np_rng, spectrum):
+    blocks = []
+    for _ in range(2):
+        q, _ = np.linalg.qr(np_rng.normal(size=(len(spectrum), len(spectrum))))
+        a = (q * np.array([float(v) for v in spectrum])) @ q.T
+        blocks.append(((a + a.T) / 2.0).tolist())
+    return blocks
+
+
+def test_certify_pair_on_known_spectra(tmp_path, capsys):
+    # Pair vertices of two 61x61 blocks with known spectra: the 122-row
+    # embedding has the union of the blocks' spectra.
+    np_rng = np.random.default_rng(122)
+    m = 61
+    positive = [Fraction(k, 8) for k in range(1, m + 1)]
+    indefinite = [Fraction(k - 45, 8) for k in range(1, m + 1)]
+    cases = (
+        ("accept", (positive, positive), 0, True, m + 1),
+        ("reject", (positive, indefinite), 2, False, 0),
+    )
+    for name, spectra, exit_code, accepted, bound in cases:
+        vertices = [known_spectrum_pair(np_rng, s) for s in spectra]
+        path = write_json(tmp_path / f"{name}.json", {"vertices": vertices})
+        code, out = run(capsys, ["certify", "--pair", "--vertices", path, "--r", str(m)])
+        obj = json.loads(out)
+        assert code == exit_code
+        assert (obj["accepted"], obj["certified_lower_bound"], obj["r"], obj["l"]) == (accepted, bound, m, m)
+        scale = max(abs(x) for vertex in vertices for block in vertex for row in block for x in row)
+        assert obj["threshold"] == pytest.approx(2 * m * 1e-9 * max(1.0, scale), rel=1e-15)
+        for got, s in zip(obj["vertex_mu"], spectra):
+            want = float(sum(sorted(s * 2)[:m]))
+            assert abs(got - want) <= 1e-12 * 2 * m * max(1.0, scale)
+
+
+def test_certify_rejects_bad_tolerance(tmp_path, capsys):
+    # The hull of diag(1, -1) and diag(-1, 1) holds the zero matrix; with
+    # --tol -1 it used to be certified to have rank 2 (exit 0).
+    path = write_json(
+        tmp_path / "v.json", {"vertices": [[[1.0, 0.0], [0.0, -1.0]], [[-1.0, 0.0], [0.0, 1.0]]]}
+    )
+    for tol in ("-1", "nan", "inf"):
+        assert main(["certify", "--vertices", path, "--r", "1", "--tol", tol]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "--tol" in captured.err
+    assert main(["certify", "--vertices", path, "--r", "1", "--tol", "0"]) == 2
+
+
+def test_certify_pair_rejects_vertices_without_two_blocks(tmp_path, capsys):
+    # A third block used to be dropped silently.
+    eye, zero = [[1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]]
+    for vertex in ([eye, eye, zero], [eye]):
+        path = write_json(tmp_path / "pairs.json", {"vertices": [[eye, eye], vertex]})
+        assert main(["certify", "--pair", "--vertices", path, "--r", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "two blocks" in captured.err
 
 
 def test_bounds(capsys):

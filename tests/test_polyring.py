@@ -52,6 +52,19 @@ def test_arithmetic_small():
     assert (3 * x1).coefficient((1, 0)) == 3
 
 
+def test_arithmetic_results_match_validated_construction():
+    # Sums, products and negations skip re-validation; their terms, in
+    # insertion order, must be those the validating constructor gives.
+    rng = random.Random(3)
+    for _ in range(40):
+        p, q = random_poly(rng, 3, 3), random_poly(rng, 3, 3)
+        scalar = rng.choice([0, 2, Fraction(-3, 4)])
+        for result in (p + q, p - q, p * q, -p, p * scalar, scalar * p, p + scalar, p - p):
+            checked = Polynomial(3, result.terms)
+            assert list(result.terms.items()) == list(checked.terms.items())
+            assert all(type(c) is Fraction and c for c in result.terms.values())
+
+
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         Polynomial.variable(2, 0) + Polynomial.variable(3, 0)
