@@ -223,11 +223,16 @@ def _eliminate(rows, width: int, jordan: bool = False):
     return pivots, sign, prev
 
 
-def rank_exact(m: ExactMatrix) -> int:
-    """Rank over the rationals by fraction-free (Bareiss) elimination."""
-    rows, _ = _integer_rows(m.entries)
-    pivots, _, _ = _eliminate(rows, m.cols)
+def rank_integer(rows) -> int:
+    """Rank of an integer matrix given as a list of row lists, which are
+    eliminated in place by the fraction-free (Bareiss) kernel."""
+    pivots, _, _ = _eliminate(rows, len(rows[0]) if rows else 0)
     return len(pivots)
+
+
+def rank_exact(m: ExactMatrix) -> int:
+    """Rank over the rationals: rank_integer of the row-scaled matrix."""
+    return rank_integer(_integer_rows(m.entries)[0])
 
 
 def det_integer(rows) -> int:

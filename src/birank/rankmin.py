@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Tuple
 
 from birank.exactla import (
     ExactMatrix,
-    rank_exact,
+    rank_integer,
     signature_lower_bound,
     solve_linear,
 )
@@ -160,19 +160,6 @@ def multilinear_index_set(num_vars: int, k: int) -> list:
     return out
 
 
-def _permutation_like(exps: Exponent, d: int) -> bool:
-    # Reshaped as a (d-1) x (d-1) 0/1 matrix: every row and column sum <= 1.
-    m = d - 1
-    rows = [0] * m
-    cols = [0] * m
-    for pos, e in enumerate(exps):
-        if e:
-            i, j = divmod(pos, m)
-            rows[i] += e
-            cols[j] += e
-    return all(v <= 1 for v in rows) and all(v <= 1 for v in cols)
-
-
 def build_z2k(d: int, k: int) -> ConstraintSystem:
     """Projected multilinear pair system for the degree-2k slice of the
     permanent expanded at its singular point, over the (d-1) x (d-1)
@@ -189,24 +176,27 @@ def build_z2k(d: int, k: int) -> ConstraintSystem:
         raise ValueError("need k >= 1")
     if d <= 2 * k:
         raise ValueError(f"need d >= {2 * k + 1} for the projected system")
-    num_vars = (d - 1) * (d - 1)
+    m = d - 1
+    num_vars = m * m
     basis = tuple(multilinear_index_set(num_vars, k))
-    index_of = {exps: i for i, exps in enumerate(basis)}
+    # Monomials are indexed by their supports, enumerated in the basis order.
+    index_of = {s: i for i, s in enumerate(itertools.combinations(range(num_vars), k))}
+    one, minus_one, zero = Fraction(1), Fraction(-1), Fraction(0)
     equations = []
-    for h in multilinear_index_set(num_vars, 2 * k):
-        support = [pos for pos, e in enumerate(h) if e]
+    for support in itertools.combinations(range(num_vars), 2 * k):
+        lefts = list(itertools.combinations(support, k))
         terms = []
-        for left in itertools.combinations(support, k):
-            left_exps = [0] * num_vars
-            for pos in left:
-                left_exps[pos] = 1
-            right_exps = [a - b for a, b in zip(h, left_exps)]
-            i = index_of[tuple(left_exps)]
-            j = index_of[tuple(right_exps)]
-            terms.append((0, i, j, Fraction(1)))
-            terms.append((1, i, j, Fraction(-1)))
-        rhs = Fraction(1) if _permutation_like(h, d) else Fraction(0)
-        equations.append(LinearEquation(terms=tuple(terms), rhs=rhs))
+        # Complementing k-subsets reverses their lexicographic order, so
+        # the reversed list holds each left half's complement.
+        for left, right in zip(lefts, reversed(lefts)):
+            i = index_of[left]
+            j = index_of[right]
+            terms.append((0, i, j, one))
+            terms.append((1, i, j, minus_one))
+        # A partial permutation uses distinct rows and distinct columns.
+        partial = (len({p // m for p in support}) == 2 * k
+                   and len({p % m for p in support}) == 2 * k)
+        equations.append(LinearEquation(terms=tuple(terms), rhs=one if partial else zero))
     scale = Fraction(-1, 2 * k * math.factorial(d - 2 * k - 1))
     return ConstraintSystem(
         size=len(basis), pair=True, symmetric=True, num_vars=num_vars,
@@ -299,57 +289,50 @@ def check_solution(cs: ConstraintSystem, matrices) -> bool:
 
 
 def _variable_layout(cs: ConstraintSystem):
-    # Column index for each matrix entry; symmetric systems share one
-    # unknown per unordered pair.
-    layout = {}
-    order = []
-    for b in range(cs.block_count):
-        for i in range(cs.size):
-            for j in range(cs.size):
-                key = (b, min(i, j), max(i, j)) if cs.symmetric else (b, i, j)
-                if key not in layout:
-                    layout[key] = len(order)
-                    order.append(key)
-    return layout, order
+    # Column index of each matrix entry, as one n x n grid per block, and
+    # the number of unknowns.  Symmetric systems share one unknown per
+    # unordered pair, numbered along the upper triangle.
+    n = cs.size
+    grids = []
+    count = 0
+    for _ in range(cs.block_count):
+        grid = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i if cs.symmetric else 0, n):
+                grid[i][j] = count
+                if cs.symmetric:
+                    grid[j][i] = count
+                count += 1
+        grids.append(grid)
+    return grids, count
 
 
-def _matrices_from_vector(cs: ConstraintSystem, layout, vec) -> Tuple[ExactMatrix, ...]:
-    mats = []
-    for b in range(cs.block_count):
-        rows = []
-        for i in range(cs.size):
-            row = []
-            for j in range(cs.size):
-                key = (b, min(i, j), max(i, j)) if cs.symmetric else (b, i, j)
-                row.append(vec[layout[key]])
-            rows.append(row)
-        mats.append(ExactMatrix(rows))
-    return tuple(mats)
+def _matrices_from_vector(grids, vec) -> Tuple[ExactMatrix, ...]:
+    return tuple(ExactMatrix([[vec[c] for c in row] for row in grid]) for grid in grids)
 
 
 def _linear_system(cs: ConstraintSystem):
-    layout, order = _variable_layout(cs)
+    grids, count = _variable_layout(cs)
     rows = []
     rhs = []
     for eq in cs.equations:
-        row = [Fraction(0)] * len(order)
+        row = [Fraction(0)] * count
         for block, i, j, coef in eq.terms:
-            key = (block, min(i, j), max(i, j)) if cs.symmetric else (block, i, j)
-            row[layout[key]] += coef
+            row[grids[block][i][j]] += coef
         rows.append(row)
         rhs.append(eq.rhs)
-    return layout, order, rows, rhs
+    return grids, rows, rhs
 
 
 def solve_feasible(cs: ConstraintSystem) -> Tuple[ExactMatrix, ...]:
     """One exact solution of the system (free variables zero); raises on an
     infeasible system."""
-    layout, order, rows, rhs = _linear_system(cs)
+    grids, rows, rhs = _linear_system(cs)
     solved = solve_linear(rows, rhs)
     if solved is None:
         raise ValueError("constraint system is infeasible")
     particular, _ = solved
-    return _matrices_from_vector(cs, layout, particular)
+    return _matrices_from_vector(grids, particular)
 
 
 # ---------------------------------------------------------------------------
@@ -373,33 +356,47 @@ def _sample_values():
     return sorted(values)
 
 
-def _rank_of(mats) -> int:
-    return sum(rank_exact(m) for m in mats)
+def _sample_ranker(grids, particular, basis_vecs):
+    """rank_at(t): the summed block ranks of the solution
+    particular + sum_l t_l * basis_vecs[l], evaluated on integers.
+
+    particular and the nullspace vectors are scaled once by L, the lcm of
+    all their denominators, and each direction keeps only its (column,
+    integer) nonzeros.  For a sample t with den the lcm of its
+    denominators, den*L*particular + sum_l (t_l*den)*(L*basis_vecs[l]) is
+    a positive multiple of the rational solution, so its blocks have the
+    same ranks.
+    """
+    scale = math.lcm(*(v.denominator for vec in (particular, *basis_vecs) for v in vec))
+    base = [v.numerator * (scale // v.denominator) for v in particular]
+    directions = [
+        [(c, v.numerator * (scale // v.denominator)) for c, v in enumerate(vec) if v]
+        for vec in basis_vecs
+    ]
+
+    def rank_at(tvec) -> int:
+        den = math.lcm(*(t.denominator for t in tvec))
+        vec = [den * v for v in base]
+        for t, direction in zip(tvec, directions):
+            if t:
+                factor = t.numerator * (den // t.denominator)
+                for c, v in direction:
+                    vec[c] += factor * v
+        return sum(rank_integer([[vec[c] for c in row] for row in grid]) for grid in grids)
+
+    return rank_at
 
 
-def _block_diag(mats) -> ExactMatrix:
-    total = sum(m.rows for m in mats)
-    rows = [[Fraction(0)] * total for _ in range(total)]
-    offset = 0
-    for m in mats:
-        for i in range(m.rows):
-            for j in range(m.cols):
-                rows[offset + i][offset + j] = m[i, j]
-        offset += m.rows
-    return ExactMatrix(rows)
-
-
-def _symbolic_solution_matrix(cs, layout, particular, basis_vecs):
-    # Entries of the general solution as polynomials in the free parameters.
+def _symbolic_solution_matrix(grids, particular, basis_vecs):
+    # Entries of the general solution as polynomials in the free parameters;
+    # the blocks of a pair stack block-diagonally, so their ranks add up.
     f = len(basis_vecs)
-    mats = []
-    for b in range(cs.block_count):
-        rows = []
-        for i in range(cs.size):
-            row = []
-            for j in range(cs.size):
-                key = (b, min(i, j), max(i, j)) if cs.symmetric else (b, i, j)
-                col = layout[key]
+    n = len(grids[0])
+    zero = Polynomial.zero(f)
+    out = [[zero] * (n * len(grids)) for _ in range(n * len(grids))]
+    for b, grid in enumerate(grids):
+        for i, row in enumerate(grid):
+            for j, col in enumerate(row):
                 terms = {}
                 if particular[col]:
                     terms[(0,) * f] = particular[col]
@@ -407,20 +404,8 @@ def _symbolic_solution_matrix(cs, layout, particular, basis_vecs):
                     if vec[col]:
                         exps = tuple(1 if t == l else 0 for t in range(f))
                         terms[exps] = vec[col]
-                row.append(Polynomial(f, terms))
-            rows.append(row)
-        mats.append(rows)
-    if cs.block_count == 1:
-        return mats[0]
-    # Stack the pair block-diagonally; its rank is the sum of block ranks.
-    n = cs.size
-    zero = Polynomial.zero(f)
-    grid = [[zero] * (2 * n) for _ in range(2 * n)]
-    for b, block in enumerate(mats):
-        for i in range(n):
-            for j in range(n):
-                grid[b * n + i][b * n + j] = block[i][j]
-    return grid
+                out[b * n + i][b * n + j] = Polynomial(f, terms)
+    return out
 
 
 def _poly_det(grid, rows, cols):
@@ -474,16 +459,20 @@ def minrank_interval(cs: ConstraintSystem, budget: int = 6, seed: int = 0) -> Mi
 
     The upper bound is the smallest rank found by exact sampling of the
     solution space (origin, axis sweeps, a small grid in dimension two,
-    and seeded random points).  The lower bound uses, in order of
-    preference: uniqueness of the solution; the inertia of the symmetric
-    part when every nullspace direction is skew-symmetric (then all
-    solutions share one symmetric part, whose max inertia bounds every
-    rank); a constant nonzero minor of the parametrized solution (which
-    survives every parameter choice); and, with one free parameter, minor
-    systems with no rational root.  Raises on an infeasible system or when
-    the free dimension exceeds budget.
+    and seeded random points).  Samples are evaluated on integers: the
+    solution is scaled once by L, the lcm of its denominators, each sample
+    by den, the lcm of its own, and the integer blocks are ranked by the
+    shared Bareiss kernel (Bareiss 1968); positive scales keep the rank.
+
+    The lower bound uses, in order of preference: uniqueness of the
+    solution; the inertia of the symmetric part when every nullspace
+    direction is skew-symmetric (then all solutions share one symmetric
+    part, whose max inertia bounds every rank); a constant nonzero minor of
+    the parametrized solution (which survives every parameter choice); and,
+    with one free parameter, minor systems with no rational root.  Raises
+    on an infeasible system or when the free dimension exceeds budget.
     """
-    layout, order, rows, rhs = _linear_system(cs)
+    grids, rows, rhs = _linear_system(cs)
     solved = solve_linear(rows, rhs)
     if solved is None:
         raise ValueError("constraint system is infeasible")
@@ -492,15 +481,8 @@ def minrank_interval(cs: ConstraintSystem, budget: int = 6, seed: int = 0) -> Mi
     if f > budget:
         raise ValueError(f"free dimension {f} exceeds budget {budget}")
 
-    def mats_at(tvec):
-        vec = list(particular)
-        for t, direction in zip(tvec, basis_vecs):
-            if t:
-                vec = [a + t * b for a, b in zip(vec, direction)]
-        return _matrices_from_vector(cs, layout, vec)
-
-    base_mats = mats_at([Fraction(0)] * f)
-    upper = _rank_of(base_mats)
+    rank_at = _sample_ranker(grids, particular, basis_vecs)
+    upper = rank_at([Fraction(0)] * f)
     upper_method = "origin"
     if f == 0:
         return MinrankInterval(upper, upper, "unique-solution", "unique-solution", 0)
@@ -509,7 +491,7 @@ def minrank_interval(cs: ConstraintSystem, budget: int = 6, seed: int = 0) -> Mi
 
     def consider(tvec, method):
         nonlocal upper, upper_method
-        r = _rank_of(mats_at(tvec))
+        r = rank_at(tvec)
         if r < upper:
             upper = r
             upper_method = method
@@ -539,17 +521,17 @@ def minrank_interval(cs: ConstraintSystem, budget: int = 6, seed: int = 0) -> Mi
         lower, lower_method = 1, "nonzero-form"
 
     if not cs.symmetric and not cs.pair:
-        null_mats = [_matrices_from_vector(cs, layout, vec)[0] for vec in basis_vecs]
+        null_mats = [_matrices_from_vector(grids, vec)[0] for vec in basis_vecs]
         if all(n + n.transpose() == ExactMatrix.zeros(cs.size, cs.size) for n in null_mats):
             # Every solution then shares one symmetric part, so its max
             # inertia bounds the rank of every solution.
-            cand = signature_lower_bound(base_mats[0])
+            cand = signature_lower_bound(_matrices_from_vector(grids, particular)[0])
             if cand > lower:
                 lower, lower_method = cand, "shared-symmetric-part-inertia"
 
     total_size = cs.size * cs.block_count
     if total_size <= 6:
-        grid = _symbolic_solution_matrix(cs, layout, particular, basis_vecs)
+        grid = _symbolic_solution_matrix(grids, particular, basis_vecs)
         n = len(grid)
         for m in (2, 3):
             if m > n or lower >= m:

@@ -316,7 +316,9 @@ def test_module_entry_point(tmp_path):
 
 # Byte-identity guard: stdout digests recorded before the exact-arithmetic
 # kernel was rewritten (the 7x7 case before decompositions were verified on
-# the simplex lattice).  Any change here is a behaviour change.
+# the simplex lattice; the psd-pair interval and the z2k build before the
+# sampler and build_z2k moved to integers and index supports).  Any
+# change here is a behaviour change.
 def leading_zero_rep_file(tmp_path):
     # A 5x5 representation in 3 variables whose matrix at GOLDEN_X0 has the
     # columns [0, 0, a, b, c] of rank 3, with mixed denominators.
@@ -375,6 +377,8 @@ GOLDEN_DIGESTS = {
     "interval-xp": "c7faaed89e85fdc777e8f152fa0b2211c784fdce0df1b3334677cf027e2ec654",
     "interval-sym": "a0973844402dd3978f77fe2fcabc9b6bc7531db3002b1ecb5fa966f4b7a7cb55",
     "mv-det": "7d7aa7d93c90e70a2de48744e26fab79655d75d01fe3a06121466c4373904dea",
+    "interval-psd-pair": "64c2c73592a657c42b728babed8238ee6bc85ed20d6d87ba34fadc2b1ed6bf6b",
+    "build-z2k-d5-k2": "2d9365f0995dbef4527512b95f708f721dabd1c222d5d2dee1c68c9c7c05fc4b",
 }
 
 
@@ -390,6 +394,9 @@ def golden_commands(tmp_path):
         "interval-xp": ["brank-interval", "--poly", quartic, "--kind", "xp"],
         "interval-sym": ["brank-interval", "--poly", quartic, "--kind", "sym"],
         "mv-det": ["mv-det", "--matrix", rep],
+        # Free dimension 7: the two-block sampler.
+        "interval-psd-pair": ["brank-interval", "--poly", quartic, "--kind", "psd-pair", "--budget", "7"],
+        "build-z2k-d5-k2": ["build", "--kind", "z2k", "--d", "5", "--k", "2"],
     }
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from birank.exactla import ExactMatrix, rank_exact
+from birank.exactla import ExactMatrix, rank_exact, solve_linear
 from birank.permhess import hessian_perm_fast, perm_zero_point
 from birank.polyring import (
     Polynomial,
@@ -18,6 +18,10 @@ from birank.polyring import (
 )
 from birank.rankmin import (
     ConstraintSystem,
+    LinearEquation,
+    _linear_system,
+    _matrices_from_vector,
+    _sample_ranker,
     build_affine_system,
     build_psd_pair_system,
     build_sym_system,
@@ -301,3 +305,143 @@ def test_pair_system_requires_symmetry():
     skew = ExactMatrix([[Fraction(0), Fraction(1)], [Fraction(-1), Fraction(0)]])
     with pytest.raises(ValueError):
         check_solution(cs, (skew, skew))
+
+
+def fraction_sample_rank(grids, particular, basis_vecs, tvec):
+    # Oracle: the rational solution at t, its blocks ranked by rank_exact.
+    vec = list(particular)
+    for t, direction in zip(tvec, basis_vecs):
+        vec = [a + t * b for a, b in zip(vec, direction)]
+    return sum(rank_exact(m) for m in _matrices_from_vector(grids, vec))
+
+
+def mixed_denominator_form(rng, num_vars, degree):
+    return poly_from_coeffs(
+        num_vars,
+        {e: Fraction(rng.choice([-4, -3, -1, 1, 2, 5]), rng.randint(1, 6))
+         for e in monomial_index_set(num_vars, degree)},
+    )
+
+
+def test_integer_sampler_matches_fraction_ranks():
+    rng = random.Random(23)
+    forms = [mixed_denominator_form(rng, nv, deg) for nv, deg in ((2, 2), (2, 4), (3, 2), (3, 4))]
+    # Forms whose solution sets reach low ranks, so deficient samples occur.
+    forms += [x1x2(), perm2_slice(), poly_from_coeffs(2, {(2, 2): Fraction(3, 7)})]
+    checked = {}
+    deficient = 0
+    for build in (build_affine_system, build_sym_system, build_psd_pair_system):
+        for p in forms:
+            cs = build(p)
+            grids, rows, rhs = _linear_system(cs)
+            particular, basis_vecs = solve_linear(rows, rhs)
+            f = len(basis_vecs)
+            if f == 0 or f > 8:
+                continue
+            rank_at = _sample_ranker(grids, particular, basis_vecs)
+            samples = [[Fraction(0)] * f]
+            for _ in range(20):
+                samples.append([
+                    Fraction(rng.randint(-8, 8), rng.randint(1, 8)) if rng.random() < 0.6 else Fraction(0)
+                    for _ in range(f)
+                ])
+            for tvec in samples:
+                r = rank_at(tvec)
+                assert r == fraction_sample_rank(grids, particular, basis_vecs, tvec)
+                deficient += r < cs.size * cs.block_count
+            checked[build] = checked.get(build, 0) + 1
+    assert all(checked.get(b, 0) >= 2 for b in (build_affine_system, build_sym_system, build_psd_pair_system))
+    assert deficient > 0
+
+
+def test_integer_sampler_at_planted_low_rank_solutions():
+    # Plant a rank-one solution block with mixed denominators; its parameter
+    # vector then has several nonzero coordinates with different
+    # denominators, where a wrong per-sample scale would change the rank.
+    rng = random.Random(31)
+
+    def rational():
+        return Fraction(rng.choice([-5, -2, -1, 1, 3, 4]), rng.randint(1, 8))
+
+    cases = 0
+    for build in (build_affine_system, build_sym_system, build_psd_pair_system):
+        for num_vars, k in ((2, 2), (3, 1), (3, 2)):
+            template = build(poly_from_coeffs(num_vars, {(2 * k,) + (0,) * (num_vars - 1): 1}))
+            n = template.size
+            blocks = []
+            for _ in range(template.block_count):
+                u = [rational() for _ in range(n)]
+                w = u if template.symmetric else [rational() for _ in range(n)]
+                blocks.append(ExactMatrix([[a * b for b in w] for a in u]))
+            p = gram_expand(template, blocks)
+            cs = build(p)
+            grids, rows, rhs = _linear_system(cs)
+            particular, basis_vecs = solve_linear(rows, rhs)
+            if not 1 <= len(basis_vecs) <= 10:
+                continue
+            planted = [None] * len(particular)
+            for grid, q in zip(grids, blocks):
+                for i, row in enumerate(grid):
+                    for j, c in enumerate(row):
+                        planted[c] = q[i, j]
+            # A column where only direction l is nonzero reads off t_l.
+            tvec = []
+            for l, vec in enumerate(basis_vecs):
+                c = next(c for c, v in enumerate(vec)
+                         if v and all(o[c] == 0 for m, o in enumerate(basis_vecs) if m != l))
+                tvec.append((planted[c] - particular[c]) / vec[c])
+            rebuilt = list(particular)
+            for t, vec in zip(tvec, basis_vecs):
+                rebuilt = [a + t * b for a, b in zip(rebuilt, vec)]
+            assert rebuilt == planted
+            rank_at = _sample_ranker(grids, particular, basis_vecs)
+            assert rank_at(tvec) == fraction_sample_rank(grids, particular, basis_vecs, tvec)
+            assert rank_at(tvec) == cs.block_count
+            if len({t.denominator for t in tvec if t}) > 1:
+                cases += 1
+    assert cases >= 3
+
+
+def z2k_oracle(d, k):
+    # Exponent-list construction: left halves as 0/1 exponent tuples, right
+    # halves by subtraction, the rhs from row and column sums of H read as
+    # a (d-1) x (d-1) matrix.
+    m = d - 1
+    num_vars = m * m
+    basis = tuple(multilinear_index_set(num_vars, k))
+    index_of = {exps: i for i, exps in enumerate(basis)}
+    equations = []
+    for h in multilinear_index_set(num_vars, 2 * k):
+        support = [pos for pos, e in enumerate(h) if e]
+        terms = []
+        for left in itertools.combinations(support, k):
+            left_exps = [0] * num_vars
+            for pos in left:
+                left_exps[pos] = 1
+            right_exps = [a - b for a, b in zip(h, left_exps)]
+            i = index_of[tuple(left_exps)]
+            j = index_of[tuple(right_exps)]
+            terms.append((0, i, j, Fraction(1)))
+            terms.append((1, i, j, Fraction(-1)))
+        rows = [0] * m
+        cols = [0] * m
+        for pos, e in enumerate(h):
+            rows[pos // m] += e
+            cols[pos % m] += e
+        partial = max(rows) <= 1 and max(cols) <= 1
+        equations.append(LinearEquation(terms=tuple(terms), rhs=Fraction(int(partial))))
+    return ConstraintSystem(
+        size=len(basis), pair=True, symmetric=True, num_vars=num_vars, half_degree=k,
+        basis=basis, equations=tuple(equations),
+        scale=Fraction(-1, 2 * k * math.factorial(d - 2 * k - 1)),
+    )
+
+
+@pytest.mark.parametrize("d,k", [(3, 1), (4, 1), (5, 1), (5, 2), (6, 1)])
+def test_z2k_matches_exponent_list_oracle(d, k):
+    cs = build_z2k(d, k)
+    assert cs == z2k_oracle(d, k)
+    # The rhs-1 monomials are the partial permutations of size 2k.
+    m = d - 1
+    ones = sum(eq.rhs == 1 for eq in cs.equations)
+    assert ones == math.comb(m, 2 * k) ** 2 * math.factorial(2 * k)
