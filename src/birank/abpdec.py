@@ -7,17 +7,22 @@ later vertices are allowed.  A clow sequence is an ordered tuple of clows
 with strictly increasing heads; its length is the total number of walk
 vertices and its sign is (-1)^(n + number of clows).  Signed clow
 enumeration computes determinant coefficients because everything that is
-not a disjoint union of cycles cancels in pairs (Mahajan and Vinay 1997);
-the cancellation itself is exercised by tests through the brute-force
-enumerator below.
+not a disjoint union of cycles cancels in pairs (Mahajan and Vinay 1997).
 
-Two dynamic programs drive the module: an unrestricted one over all
-heads, whose length-k slice gives the coefficient of lambda^(n-k) in
-det(A(x) + lambda*I), and a head-1-restricted one, whose length-2k slice
-equals the degree-2k part of det(A(x) + J) where J is the diagonal with
-ones in the last n-1 positions.  Product-sum decompositions come from
-cutting a program in the middle or from peeling the trailing-ones
-diagonal one position at a time.
+One clow program serves the module.  Over all heads, its length-k answer
+is (-1)^k times the coefficient of lambda^(n-k) in det(A(x) + lambda*I);
+on a k x k block it gives the determinant.  The degree-2k part of
+det(A(x) + J), J the diagonal with r trailing ones, is split into products
+in three ways: at r = n-1 the head-1 program is cut after its first clow
+or in the middle of it, at r = n-2k a generalized Laplace expansion pairs
+k x k determinants, and in between one trailing one is peeled per step.
+
+Construction is fraction-free (the idea of Bareiss 1968): A is scaled
+once by L, the lcm of all its denominators, an entry of L*A is an integer
+form {packed monomial: int}, and a value built from s entries is L^s
+times the true one.  Each factor becomes a Polynomial once, divided by
+its own L^s.  The walk tables and the clow program of a matrix are built
+once and shared by every head length t.
 
 Every constructor verifies its output and refuses to return an
 unverified object.  The pair sum and the target are forms of degree 2k in
@@ -27,7 +32,7 @@ them (Chung and Yao 1977, principal lattices): C(D + 2k - 1, 2k) points,
 495 for D = 9 and k = 2.  The target slice is evaluated there without
 ever being expanded: at a lattice point the linear matrix is numeric, and
 the slice value is a sum of principal minors, each an integer
-determinant.
+determinant.  Verification shares no code with construction.
 """
 
 from __future__ import annotations
@@ -38,255 +43,145 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from birank.exactla import AffineMatrixPoly, det_integer, trailing_ones_matrix
+from birank.exactla import AffineMatrixPoly, det_integer
 from birank.polyring import (
     Point,
     Polynomial,
     monomial_index_set,
-    monomial_split,
     poly_from_json,
     poly_to_json,
+    split_terms,
 )
-
-ENUMERATION_LIMIT_N = 5
-ENUMERATION_LIMIT_LENGTH = 5
 
 
 class DecompositionError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Clow:
-    """Closed walk with a strictly minimal first vertex."""
-
-    vertices: Tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.vertices:
-            raise ValueError("a clow needs at least one vertex")
-        head = self.vertices[0]
-        if any(v <= head for v in self.vertices[1:]):
-            raise ValueError(f"head {head} must be strictly minimal in {self.vertices}")
-
-    @property
-    def head(self) -> int:
-        return self.vertices[0]
-
-    @property
-    def length(self) -> int:
-        return len(self.vertices)
-
-    def is_cycle(self) -> bool:
-        return len(set(self.vertices)) == len(self.vertices)
-
-    def edges(self):
-        v = self.vertices
-        return [(v[i], v[(i + 1) % len(v)]) for i in range(len(v))]
+# ---------------------------------------------------------------------------
+# Integer forms.  A form is a dict {key: int} with the monomial x^e packed
+# into key = sum_l e_l << (width * l).  The field width holds the largest
+# total degree the program reaches, so no field carries into the next and
+# multiplying monomials is adding keys.
 
 
-@dataclass(frozen=True)
-class ClowSequence:
-    clows: Tuple[Clow, ...]
+class _IntegerForms:
+    """The entries of L*A as integer forms, keyed by 0-based (row, column),
+    L the lcm of the denominators of A's constant and coefficient matrices;
+    zero entries are absent.  No form may exceed total degree max_degree."""
 
-    def __post_init__(self):
-        heads = [c.head for c in self.clows]
-        if any(a >= b for a, b in zip(heads, heads[1:])):
-            raise ValueError("clow heads must strictly increase")
+    def __init__(self, a: AffineMatrixPoly, max_degree: int):
+        mats = (a.const,) + a.coeffs
+        self.num_vars = a.num_vars
+        self.width = max_degree.bit_length()
+        self.scale = math.lcm(*(v.denominator for m in mats for row in m.entries for v in row))
+        keys = [0] + [1 << (self.width * l) for l in range(a.num_vars)]
+        self.entries = {}
+        for i in range(a.n):
+            for j in range(a.n):
+                form = {}
+                for key, m in zip(keys, mats):
+                    v = m.entries[i][j]
+                    if v:
+                        form[key] = v.numerator * (self.scale // v.denominator)
+                if form:
+                    self.entries[i, j] = form
+        self._exponents: Dict[int, Tuple[int, ...]] = {}
 
-    @property
-    def total_length(self) -> int:
-        return sum(c.length for c in self.clows)
+    def pack(self, exps) -> int:
+        return sum(e << (self.width * l) for l, e in enumerate(exps))
 
-    def sign(self, n: int) -> int:
-        return -1 if (n + len(self.clows)) % 2 else 1
+    def exponents(self, key: int) -> Tuple[int, ...]:
+        exps = self._exponents.get(key)
+        if exps is None:
+            mask = (1 << self.width) - 1
+            exps = tuple((key >> (self.width * l)) & mask for l in range(self.num_vars))
+            self._exponents[key] = exps
+        return exps
 
-    def is_cycle_cover(self) -> bool:
-        seen = set()
-        for c in self.clows:
-            if not c.is_cycle():
-                return False
-            if seen & set(c.vertices):
-                return False
-            seen |= set(c.vertices)
-        return True
-
-    def weight(self, entry) -> Polynomial:
-        poly = None
-        for c in self.clows:
-            for v, w in c.edges():
-                e = entry(v, w)
-                poly = e if poly is None else poly * e
-        return poly
-
-
-def _entry_table(a: AffineMatrixPoly):
-    polys = {}
-
-    def entry(v, w):
-        key = (v, w)
-        if key not in polys:
-            polys[key] = a.entry_poly(v - 1, w - 1)
-        return polys[key]
-
-    return entry
-
-
-def _enumerate_clows(head: int, length: int, n: int):
-    if length == 1:
-        yield Clow((head,))
-        return
-    for rest in itertools.product(range(head + 1, n + 1), repeat=length - 1):
-        yield Clow((head,) + rest)
-
-
-def enumerate_clow_sequences(n: int, total_length: int, restricted_to_vertex1: bool = False):
-    """All clow sequences on {1..n} of the given total length.  Exponential;
-    guarded by the module enumeration limits."""
-    if n > ENUMERATION_LIMIT_N or total_length > ENUMERATION_LIMIT_LENGTH:
-        raise ValueError(
-            f"enumeration limited to n <= {ENUMERATION_LIMIT_N}, "
-            f"length <= {ENUMERATION_LIMIT_LENGTH}"
+    def polynomial(self, form: dict, s: int) -> Polynomial:
+        """The Polynomial form / L^s."""
+        den = self.scale ** s
+        return Polynomial._trusted(
+            self.num_vars, {self.exponents(key): Fraction(c, den) for key, c in form.items()}
         )
 
-    def rec(min_head, remaining):
-        if remaining == 0:
-            yield ()
-            return
-        for h in range(min_head, n + 1):
-            for l in range(1, remaining + 1):
-                for c in _enumerate_clows(h, l, n):
-                    for rest in rec(h + 1, remaining - l):
-                        yield (c,) + rest
 
-    for clows in rec(1, total_length):
-        seq = ClowSequence(clows)
-        if restricted_to_vertex1 and (not clows or clows[0].head != 1):
-            continue
-        yield seq
+_ONE = {0: 1}
+_MINUS_ONE = {0: -1}
 
 
-def clow_sum_bruteforce(
-    a: AffineMatrixPoly,
-    length: int,
-    restricted_to_vertex1: bool = False,
-    family: str = "all",
-    head_length: Optional[int] = None,
-) -> Polynomial:
-    """Sum of sign(C) * weight(C) over clow sequences by direct enumeration.
+def _mul_add(acc: dict, p: dict, q: dict):
+    """acc += p * q, in place."""
+    get = acc.get
+    for k2, c2 in q.items():
+        for k1, c1 in p.items():
+            key = k1 + k2
+            acc[key] = get(key, 0) + c1 * c2
 
-    family selects "all" sequences, only "cycle_covers", or only
-    "non_covers"; head_length keeps sequences whose first clow has exactly
-    that many vertices.  Oracle for the dynamic programs; n <= 5 and
-    length <= 5 enforced.
-    """
-    if family not in ("all", "cycle_covers", "non_covers"):
-        raise ValueError(f"unknown family {family!r}")
-    n = a.n
-    entry = _entry_table(a)
-    total = Polynomial.zero(a.num_vars)
-    for seq in enumerate_clow_sequences(n, length, restricted_to_vertex1):
-        if head_length is not None and seq.clows[0].length != head_length:
-            continue
-        if family == "cycle_covers" and not seq.is_cycle_cover():
-            continue
-        if family == "non_covers" and seq.is_cycle_cover():
-            continue
-        total = total + seq.sign(n) * seq.weight(entry)
-    return total
+
+def _scaled(p: dict, c: int) -> dict:
+    """c * p without zero terms; c = 1 drops the zeros of p."""
+    return {key: c * v for key, v in p.items() if v}
 
 
 # ---------------------------------------------------------------------------
-# Dynamic programs.  State (h, v): an unfinished clow with head h currently
+# The clow program.  State (h, v): an unfinished clow with head h currently
 # at vertex v, preceded by finished clows with heads < h.  Each finished or
 # unfinished clow contributes a factor -1, so a layer value is the sum of
 # (-1)^(number of clows so far) * (product of edge entries so far).
 
 
-def _clow_dp_layers(a: AffineMatrixPoly, verts: Sequence[int], max_total: int, first_head: Optional[int]):
-    """Forward pass.  Returns (answers, open_layers): answers[s] is the sum
-    of (-1)^(clow count) * weight over complete sequences of total length s;
-    open_layers[s] maps open states after committing s vertices to their
-    accumulated sums."""
-    zero = Polynomial.zero(a.num_vars)
-    entry = _entry_table(a)
-    heads = [first_head] if first_head is not None else list(verts)
-    minus_one = Polynomial.constant(a.num_vars, -1)
-    open_cur = {(h, h): minus_one for h in heads if h in verts}
-    open_layers = {1: dict(open_cur)}
-    answers: Dict[int, Polynomial] = {}
+def _clow_dp(entries: dict, rows: Sequence[int], cols: Sequence[int], max_total: int) -> list:
+    """answers[s], s = 1..max_total: the sum over clow sequences of total
+    length s on the vertices 0..m-1 of (-1)^(clow count) * weight, where
+    the edge v -> w weighs entries[rows[v], cols[w]]; an integer form
+    scaled by L^s.  With rows = cols the answers sum principal minors; on
+    a k x k block answers[k] is (-1)^k times its determinant."""
+    m = len(rows)
+    edge = {}
+    for v in range(m):
+        for w in range(m):
+            e = entries.get((rows[v], cols[w]))
+            if e:
+                edge[v, w] = e
+    answers = [None]
+    open_cur = {(h, h): _MINUS_ONE for h in range(m)}
     for s in range(1, max_total + 1):
         closed = {}
-        for (h, v), poly in open_cur.items():
-            e = entry(v, h)
-            if not e.is_zero():
-                closed[h] = closed.get(h, zero) + poly * e
-        finish = zero
+        for (h, v), form in open_cur.items():
+            e = edge.get((v, h))
+            if e:
+                _mul_add(closed.setdefault(h, {}), form, e)
+        finish = {}
         for value in closed.values():
-            finish = finish + value
-        answers[s] = finish
+            _mul_add(finish, value, _ONE)
+        answers.append(_scaled(finish, 1))
         if s == max_total:
             break
         nxt = {}
-        for (h, v), poly in open_cur.items():
-            for w in verts:
-                if w <= h:
-                    continue
-                e = entry(v, w)
-                if not e.is_zero():
-                    key = (h, w)
-                    nxt[key] = nxt.get(key, zero) + poly * e
+        for (h, v), form in open_cur.items():
+            for w in range(h + 1, m):
+                e = edge.get((v, w))
+                if e:
+                    _mul_add(nxt.setdefault((h, w), {}), form, e)
         for h, value in closed.items():
-            for h2 in verts:
-                if h2 > h:
-                    key = (h2, h2)
-                    nxt[key] = nxt.get(key, zero) - value
-        open_cur = {k: p for k, p in nxt.items() if not p.is_zero()}
-        open_layers[s + 1] = dict(open_cur)
-    return answers, open_layers
-
-
-def _clow_dp_backward(a: AffineMatrixPoly, verts: Sequence[int], total: int, down_to: int):
-    """Backward pass for the same program: value of an open state (h, v)
-    after s committed vertices = sum over all completions to total length
-    `total` of the remaining edge product times (-1)^(future clow count)."""
-    zero = Polynomial.zero(a.num_vars)
-    entry = _entry_table(a)
-    states = [(h, v) for h in verts for v in verts if v >= h]
-    back = {}
-    for h, v in states:
-        e = entry(v, h)
-        back[(h, v)] = e if not e.is_zero() else zero
-    for s in range(total - 1, down_to - 1, -1):
-        reopen = {}
-        for h in verts:
-            acc = zero
-            for h2 in verts:
-                if h2 > h:
-                    acc = acc - back.get((h2, h2), zero)
-            reopen[h] = acc
-        nxt = {}
-        for h, v in states:
-            acc = zero
-            for w in verts:
-                if w <= h:
-                    continue
-                e = entry(v, w)
-                if not e.is_zero():
-                    acc = acc + e * back.get((h, w), zero)
-            e = entry(v, h)
-            if not e.is_zero() and not reopen[h].is_zero():
-                acc = acc + e * reopen[h]
-            nxt[(h, v)] = acc
-        back = nxt
-    return back
+            for h2 in range(h + 1, m):
+                _mul_add(nxt.setdefault((h2, h2), {}), value, _MINUS_ONE)
+        open_cur = {}
+        for state, form in nxt.items():
+            form = _scaled(form, 1)
+            if form:
+                open_cur[state] = form
+    return answers
 
 
 def char_coefficients(a: AffineMatrixPoly, degrees: Sequence[int]) -> Dict[int, Polynomial]:
     """Coefficient polynomials c_k(x) of lambda^(n-k) in det(A(x) + lambda I).
 
-    c_k is the sum of all k x k principal minors of A(x); it is computed by
-    the signed clow program in polynomially many polynomial operations.
+    c_k is the sum of all k x k principal minors of A(x), (-1)^k times the
+    length-k answer of the clow program over all heads: polynomially many
+    operations on the integer forms of L*A.  A may have a constant part.
     """
     degrees = sorted(set(int(k) for k in degrees))
     n = a.n
@@ -297,21 +192,12 @@ def char_coefficients(a: AffineMatrixPoly, degrees: Sequence[int]) -> Dict[int, 
     if 0 in degrees:
         out[0] = Polynomial.constant(a.num_vars, 1)
     if want:
-        answers, layers = _clow_dp_layers(a, range(1, n + 1), max(want), None)
-        width_cap = n * n
-        for s, states in layers.items():
-            if len(states) > width_cap:
-                raise ArithmeticError("clow program exceeded its width bound")
+        forms = _IntegerForms(a, max(want))
+        verts = range(n)
+        answers = _clow_dp(forms.entries, verts, verts, max(want))
         for k in want:
-            out[k] = answers[k] if k % 2 == 0 else -answers[k]
+            out[k] = forms.polynomial(_scaled(answers[k], (-1) ** k), k)
     return out
-
-
-def layer_widths(a: AffineMatrixPoly, total: int, restricted_to_vertex1: bool = False) -> List[int]:
-    """Number of live states per committed-vertex layer, 1..total."""
-    first = 1 if restricted_to_vertex1 else None
-    _, layers = _clow_dp_layers(a, range(1, a.n + 1), total, first)
-    return [len(layers.get(s, {})) for s in range(1, total + 1)]
 
 
 def det_lambda_part(a: AffineMatrixPoly, r: int, m: int) -> List[Fraction]:
@@ -487,162 +373,123 @@ def decomposition_from_json(obj) -> BiDecomposition:
     return BiDecomposition.build(k, pairs, target)
 
 
-def _head_walk_tables(a: AffineMatrixPoly, steps: int):
-    # forward[s][v]: sum over walks 1 -> v with s edges, later vertices >= 2
-    # backward[s][v]: sum over walks v -> 1 with s edges, intermediates >= 2
-    entry = _entry_table(a)
-    n = a.n
-    zero = Polynomial.zero(a.num_vars)
-    others = range(2, n + 1)
-    forward = {1: {v: entry(1, v) for v in others}}
-    backward = {1: {v: entry(v, 1) for v in others}}
-    for s in range(2, steps + 1):
-        fprev = forward[s - 1]
-        fnew = {}
+def _walk_table(entries: dict, head: int, others: Sequence[int], steps: int, backward: bool = False) -> list:
+    """table[s][v], s = 1..steps: the sum over walks head -> v (backward:
+    v -> head) with s edges whose other vertices lie in others, as integer
+    forms scaled by L^s; zero sums are absent."""
+
+    def edge(v, w):
+        return entries.get((w, v) if backward else (v, w))
+
+    table = [None, {v: e for v in others if (e := edge(head, v))}]
+    for _ in range(2, steps + 1):
+        prev, cur = table[-1], {}
         for v in others:
-            acc = zero
-            for w in others:
-                p = fprev.get(w, zero)
-                if not p.is_zero():
-                    acc = acc + p * entry(w, v)
-            fnew[v] = acc
-        forward[s] = fnew
-        bprev = backward[s - 1]
-        bnew = {}
-        for v in others:
-            acc = zero
-            for w in others:
-                p = bprev.get(w, zero)
-                if not p.is_zero():
-                    acc = acc + entry(v, w) * p
-            bnew[v] = acc
-        backward[s] = bnew
-    return forward, backward
+            acc = {}
+            for w, form in prev.items():
+                e = edge(w, v)
+                if e:
+                    _mul_add(acc, form, e)
+            acc = _scaled(acc, 1)
+            if acc:
+                cur[v] = acc
+        table.append(cur)
+    return table
 
 
-def _head_slice_pairs(a: AffineMatrixPoly, k: int, t: int):
-    """Raw pairs for the slice of the head-1 program whose first clow has
-    exactly t vertices, at total length 2k.  Sum of pairs equals
-    sum over those sequences of sign(C) * weight(C)."""
-    n = a.n
-    entry = _entry_table(a)
-    num_vars = a.num_vars
-    outer_sign = 1 if (n + 1) % 2 == 0 else -1
-    if t == 2 * k:
-        # One clow of length 2k: cut it at the (k+1)-th vertex.
-        forward, backward = _head_walk_tables(a, k)
-        pairs = []
-        for v in range(2, n + 1):
-            f = forward[k].get(v)
-            g = backward[k].get(v)
-            if f is None or g is None or f.is_zero() or g.is_zero():
-                continue
-            pairs.append((outer_sign * f, g))
-        return pairs
-    # First clow of length t < 2k, remaining clows avoid vertex 1.
-    if t == 1:
-        head_sum = entry(1, 1)
-    else:
-        forward, _ = _head_walk_tables(a, t - 1)
-        head_sum = Polynomial.zero(num_vars)
-        for v in range(2, n + 1):
-            p = forward[t - 1].get(v)
-            if p is not None and not p.is_zero():
-                head_sum = head_sum + p * entry(v, 1)
-    rest_len = 2 * k - t
-    answers, _ = _clow_dp_layers(a, range(2, n + 1), rest_len, None)
-    tail_sum = outer_sign * answers[rest_len]
-    if head_sum.is_zero() or tail_sum.is_zero():
-        return []
-    t_small = min(t, rest_len)
-    low, high = (head_sum, tail_sum) if t <= rest_len else (tail_sum, head_sum)
-    if t_small == k:
-        return [(low, high)]
+def _head_slice_pairs(forms: _IntegerForms, idx: List[int], k: int, sign: int) -> list:
+    """Pairs whose products sum to sign times the degree-2k part of
+    det(A + J) on the rows and columns idx, J with n-1 trailing ones: the
+    head-1 clow program of length 2k, one slice per length t of its first
+    clow.  For t < 2k the head-clow sum times the program on the other
+    vertices is one product, split by the monomials of its factor of
+    higher degree unless t = k; a single clow of length 2k is cut at its
+    (k+1)-th vertex.  The walk tables and the program on the other
+    vertices are built once for every t."""
+    entries = forms.entries
+    n = len(idx)
+    head, others = idx[0], idx[1:]
+    sign = sign if n % 2 == 0 else -sign
+    outer = -1 if n % 2 == 0 else 1  # (-1)^(n+1): the sign of a head-1 sequence
+    forward = _walk_table(entries, head, others, max(k, 2 * k - 2))
+    tails = _clow_dp(entries, others, others, 2 * k - 1)
     pairs = []
-    for mono, cofactor in monomial_split(high, k - t_small):
-        pairs.append((low * mono, cofactor))
+    for t in range(1, 2 * k):
+        if t == 1:
+            head_sum = entries.get((head, head), {})
+        else:
+            head_sum = {}
+            for v, form in forward[t - 1].items():
+                e = entries.get((v, head))
+                if e:
+                    _mul_add(head_sum, form, e)
+            head_sum = _scaled(head_sum, 1)
+        rest = 2 * k - t
+        tail = _scaled(tails[rest], outer)
+        if not head_sum or not tail:
+            continue
+        small = min(t, rest)
+        low, high = (head_sum, tail) if t <= rest else (tail, head_sum)
+        if small == k:
+            pairs.append((_scaled(low, sign), k, high, k))
+            continue
+        for div, cofactor in split_terms(((forms.exponents(key), c) for key, c in high.items()), k - small):
+            shift = forms.pack(div)
+            f = {key + shift: sign * c for key, c in low.items()}
+            g = {forms.pack(exps): c for exps, c in cofactor.items()}
+            pairs.append((f, small, g, 2 * k - small))
+    # t = 2k comes last.
+    backward = _walk_table(entries, head, others, k, backward=True)
+    for v in others:
+        f, g = forward[k].get(v), backward[k].get(v)
+        if f and g:
+            pairs.append((_scaled(f, sign * outer), k, g, k))
     return pairs
 
 
-def decompose_head_slice(a: AffineMatrixPoly, k: int, t: int) -> BiDecomposition:
-    """Certified decomposition of one head-length slice of the length-2k
-    head-1 clow program.  Verified against brute-force enumeration, so the
-    enumeration guards apply (n <= 5, 2k <= 5)."""
-    if k < 1:
-        raise ValueError("need k >= 1")
-    if not 1 <= t <= 2 * k:
-        raise ValueError(f"need 1 <= t <= {2 * k}")
-    if not a.is_linear():
-        raise ValueError("decompose_head_slice expects a linear matrix")
-    target = clow_sum_bruteforce(a, 2 * k, restricted_to_vertex1=True, head_length=t)
-    pairs = _head_slice_pairs(a, k, t)
-    return BiDecomposition.build(k, pairs, target)
-
-
-def layer_decomposition(a: AffineMatrixPoly, k: int) -> BiDecomposition:
-    """Cut the head-1 program of length 2k at its middle edge layer: one
-    pair per live state, so the pair count is bounded by that layer's
-    width.  The target is the degree-2k part of det(A + J) with J carrying
-    n-1 trailing ones."""
-    if k < 1:
-        raise ValueError("need k >= 1")
-    if not a.is_linear():
-        raise ValueError("layer_decomposition expects a linear matrix")
-    n = a.n
-    verts = range(1, n + 1)
-    _, layers = _clow_dp_layers(a, verts, 2 * k, 1)
-    split = k + 1  # k+1 committed vertices = k edges used
-    fwd = layers.get(split, {})
-    back = _clow_dp_backward(a, verts, 2 * k, split)
-    pairs = []
-    for state, f in fwd.items():
-        g = back.get(state)
-        if g is None or g.is_zero():
-            continue
-        pairs.append((f, g))
-    target = det_lambda_part(a, n - 1, 2 * k)
-    return BiDecomposition.build(k, pairs, target, a.num_vars)
-
-
-def _laplace_pairs(a: AffineMatrixPoly, k: int):
+def _laplace_pairs(forms: _IntegerForms, idx: List[int], k: int, sign: int) -> list:
     # det of the top-left 2k x 2k submatrix, expanded along its first k
     # columns: one product of two k x k determinants per row subset.
-    rows = list(range(2 * k))
+    rows = range(2 * k)
     base = sum(range(1, k + 1))
+    det_sign = (-1) ** k
     pairs = []
     for subset in itertools.combinations(rows, k):
         rest = [i for i in rows if i not in subset]
-        sign = (-1) ** (sum(i + 1 for i in subset) + base)
-        f = a.submatrix(subset, range(k)).det_polynomial()
-        g = a.submatrix(rest, range(k, 2 * k)).det_polynomial()
-        pairs.append((sign * f, g))
+        expansion_sign = (-1) ** (sum(i + 1 for i in subset) + base)
+        f = _clow_dp(forms.entries, [idx[i] for i in subset], idx[:k], k)[k]
+        g = _clow_dp(forms.entries, [idx[i] for i in rest], idx[k:2 * k], k)[k]
+        pairs.append((_scaled(f, sign * expansion_sign * det_sign), k, _scaled(g, det_sign), k))
     return pairs
 
 
-def _det_part_pairs(a: AffineMatrixPoly, k: int, r: int):
-    n = a.n
+def _det_part_pairs(forms: _IntegerForms, idx: List[int], k: int, r: int, sign: int = 1) -> list:
+    """Pairs (f, s, g, t) of integer forms, f scaled by L^s and g by L^t,
+    whose products sum to sign times the degree-2k part of det(A + J) on
+    the rows and columns idx, J with r trailing ones."""
+    n = len(idx)
     if 2 * k > n:
         return []
     if r == n - 2 * k:
-        return _laplace_pairs(a, k)
+        return _laplace_pairs(forms, idx, k, sign)
     if r == n - 1:
-        sign = 1 if (n - 2 * k) % 2 == 0 else -1
-        pairs = []
-        for t in range(1, 2 * k + 1):
-            for f, g in _head_slice_pairs(a, k, t):
-                pairs.append((sign * f, g))
-        return pairs
+        return _head_slice_pairs(forms, idx, k, sign)
     # Peel one diagonal one: the trailing-ones diagonals for r and r+1
-    # differ in a single position, whose row and column get deleted in the
-    # second branch.
-    lam_r = trailing_ones_matrix(n, r)
-    lam_r1 = trailing_ones_matrix(n, r + 1)
-    diff = [i for i in range(n) if lam_r[i, i] != lam_r1[i, i]]
-    assert len(diff) == 1
-    pairs = list(_det_part_pairs(a, k, r + 1))
-    for f, g in _det_part_pairs(a.delete_row_col(diff[0]), k, r):
-        pairs.append((-f, g))
-    return pairs
+    # differ only at position n-r-1, whose row and column get deleted in
+    # the second branch.
+    p = n - r - 1
+    return _det_part_pairs(forms, idx, k, r + 1, sign) + _det_part_pairs(
+        forms, idx[:p] + idx[p + 1:], k, r, -sign
+    )
+
+
+def _construct_pairs(a: AffineMatrixPoly, k: int, r: int) -> list:
+    """The pairs of decompose_det_part before verification."""
+    forms = _IntegerForms(a, 2 * k)
+    return [
+        (forms.polynomial(f, s), forms.polynomial(g, t))
+        for f, s, g, t in _det_part_pairs(forms, list(range(a.n)), k, r)
+    ]
 
 
 def decompose_det_part(a: AffineMatrixPoly, k: int, r: int) -> BiDecomposition:
@@ -653,7 +500,9 @@ def decompose_det_part(a: AffineMatrixPoly, k: int, r: int) -> BiDecomposition:
     each split in its middle; at r = n-2k a generalized Laplace expansion
     with binomial(2k, k) products; in between, a recursion that removes one
     trailing one per step and branches on deleting the corresponding row
-    and column.  The pair sum always matches the values of the subset-minor
+    and column.  Every table is built on integer forms of L*A, once per
+    matrix of the recursion, and each factor is divided by its own power
+    of L once.  The pair sum always matches the values of the subset-minor
     target (det_lambda_part) on the simplex lattice, or an error is raised.
     """
     n = a.n
@@ -664,7 +513,7 @@ def decompose_det_part(a: AffineMatrixPoly, k: int, r: int) -> BiDecomposition:
     if not max(0, n - 2 * k) <= r <= n - 1:
         raise ValueError(f"need {max(0, n - 2 * k)} <= r <= {n - 1}")
     target = det_lambda_part(a, r, 2 * k)
-    pairs = _det_part_pairs(a, k, r)
+    pairs = _construct_pairs(a, k, r)
     return BiDecomposition.build(k, pairs, target, a.num_vars)
 
 
@@ -748,3 +597,4 @@ def generic_birank_floor(num_vars: int, k: int) -> Fraction:
     if k < 1 or num_vars < 1:
         raise ValueError("need k >= 1 and num_vars >= 1")
     return Fraction(math.factorial(k) * num_vars ** k, 2 * math.factorial(2 * k))
+

@@ -196,7 +196,9 @@ class HessianReport:
 def hessian_report(d: int) -> HessianReport:
     """Rank and signature of the permanent Hessian at perm_zero_point(d),
     with the two determinantal-complexity bounds they imply: rank/2 from
-    the rank route and (d-1)^2 + 1 from the negative-inertia route.
+    the rank route and (d-1)^2 + 1 from the negative-inertia route.  Raises
+    ArithmeticError unless the rank is d^2 and the inertia bound is
+    (d-1)^2 + 1, as the paper's theorem states.
 
     Also records which closed-form block tiles the upper-left d(d-1)
     principal submatrix (sanity check on the block assembly)."""
@@ -205,6 +207,11 @@ def hessian_report(d: int) -> HessianReport:
     rank = sig.rank
     if rank != d * d:
         raise ArithmeticError(f"permanent Hessian at d={d} has rank {rank}, expected {d * d}")
+    new_bound = max(sig.n_plus, sig.n_minus)
+    if new_bound != (d - 1) ** 2 + 1:
+        raise ArithmeticError(
+            f"permanent Hessian at d={d} gives the inertia bound {new_bound}, expected {(d - 1) ** 2 + 1}"
+        )
     block_identity = None
     if d >= 3:
         m = d * (d - 1)
@@ -221,7 +228,7 @@ def hessian_report(d: int) -> HessianReport:
         rank=rank,
         signature=sig,
         mr_bound=Fraction(rank, 2),
-        new_bound=max(sig.n_plus, sig.n_minus),
+        new_bound=new_bound,
         block_identity=block_identity,
     )
 

@@ -317,17 +317,23 @@ def monomial_split(p: Polynomial, m: int) -> list:
         raise ValueError("monomial_split needs a homogeneous polynomial")
     if m < 0 or m > p.degree():
         raise ValueError(f"cannot split degree {p.degree()} at m={m}")
+    return [
+        (Polynomial.monomial(p.num_vars, div), Polynomial(p.num_vars, cofactor))
+        for div, cofactor in split_terms(p.terms.items(), m)
+    ]
+
+
+def split_terms(terms, m: int) -> list:
+    """Group (exponents, coefficient) terms of degree >= m by their greedy
+    degree-m divisor: [(divisor, {cofactor exponents: coefficient})],
+    divisors in graded-lex order.  The coefficients pass through untouched,
+    so integer and Fraction terms split alike."""
     groups = {}
-    for exps, coeff in p.terms.items():
+    for exps, coeff in terms:
         div = _greedy_divisor(exps, m)
         rest = tuple(a - b for a, b in zip(exps, div))
         groups.setdefault(div, {})[rest] = coeff
-    pairs = []
-    for div in sorted(groups, key=grlex_key):
-        f = Polynomial.monomial(p.num_vars, div)
-        g = Polynomial(p.num_vars, groups[div])
-        pairs.append((f, g))
-    return pairs
+    return [(div, groups[div]) for div in sorted(groups, key=grlex_key)]
 
 
 # ---------------------------------------------------------------------------

@@ -6,23 +6,17 @@ import pytest
 
 from birank.abpdec import (
     BiDecomposition,
-    Clow,
-    ClowSequence,
     DecompositionError,
+    _construct_pairs,
     char_coefficients,
-    clow_sum_bruteforce,
     decompose_det_part,
     decompose_from_representation,
-    decompose_head_slice,
     decomposition_from_json,
     decomposition_to_json,
     dc_lower_bound,
     dc_sqrt_bound,
     det_lambda_part,
-    enumerate_clow_sequences,
     generic_birank_floor,
-    layer_decomposition,
-    layer_widths,
     pipeline_pair_bound,
 )
 from birank.exactla import (
@@ -39,6 +33,17 @@ from birank.polyring import (
     monomial_index_set,
     point,
     shift,
+)
+from clow_oracle import (
+    Clow,
+    ClowSequence,
+    clow_sum_bruteforce,
+    decompose_head_slice,
+    enumerate_clow_sequences,
+    fraction_char_coefficients,
+    fraction_det_part_pairs,
+    layer_decomposition,
+    layer_widths,
 )
 
 
@@ -158,6 +163,44 @@ def test_char_coefficients_match_leibniz():
         for k in range(n + 1):
             assert got[k] == oracle[k], (n, k)
         assert got[n] == a.det_polynomial()
+
+
+def rational_matrix(rng, n, num_vars, den, affine=False):
+    def entry():
+        return Fraction(rng.randint(-3, 3), rng.randint(1, den))
+
+    def block():
+        return ExactMatrix([[entry() for _ in range(n)] for _ in range(n)])
+
+    const = block() if affine else ExactMatrix.zeros(n, n)
+    return AffineMatrixPoly(const, [block() for _ in range(num_vars)])
+
+
+def test_integer_construction_matches_fraction_oracle():
+    # Same pairs as the Fraction route, pair by pair and in order, zero
+    # pairs included, for every admissible r; the entry denominators are
+    # drawn from 1..den with den cycling through 1..6 (den = 1 gives L = 1).
+    rng = random.Random(14)
+    dens = itertools.cycle(range(1, 7))
+    cases = 0
+    for n in range(2, 8):
+        for k in range(1, 4):
+            for r in range(max(0, n - 2 * k), n):
+                a = rational_matrix(rng, n, 2 if n >= 6 else 3, next(dens))
+                got = _construct_pairs(a, k, r)
+                assert got == fraction_det_part_pairs(a, k, r), (n, k, r)
+                cases += bool(got)
+    assert cases == 40  # every (n, k, r) with 2k <= n gives pairs
+
+
+def test_char_coefficients_match_fraction_oracle():
+    # Affine matrices too: the constant part is scaled by the same L.
+    rng = random.Random(15)
+    for n in range(1, 7):
+        for den in range(1, 7):
+            a = rational_matrix(rng, n, 2, den, affine=den % 2 == 0)
+            degrees = range(n + 1)
+            assert char_coefficients(a, degrees) == fraction_char_coefficients(a, degrees), (n, den)
 
 
 def test_clow_cancellation_and_cycle_cover_identity():

@@ -15,7 +15,6 @@ import numpy as np
 
 from birank.abpdec import (
     char_coefficients,
-    clow_sum_bruteforce,
     decompose_det_part,
     decompose_from_representation,
     det_lambda_part,
@@ -56,6 +55,7 @@ from birank.rankmin import (
     minrank_interval,
     project_pair_to_z2k,
 )
+from clow_oracle import clow_sum_bruteforce
 
 
 def report(ok: bool, name: str) -> None:

@@ -317,7 +317,8 @@ def test_module_entry_point(tmp_path):
 # Byte-identity guard: stdout digests recorded before the exact-arithmetic
 # kernel was rewritten (the 7x7 case before decompositions were verified on
 # the simplex lattice; the psd-pair interval and the z2k build before the
-# sampler and build_z2k moved to integers and index supports).  Any
+# sampler and build_z2k moved to integers and index supports; the last
+# three before decompositions were constructed on integer forms).  Any
 # change here is a behaviour change.
 def leading_zero_rep_file(tmp_path):
     # A 5x5 representation in 3 variables whose matrix at GOLDEN_X0 has the
@@ -343,17 +344,18 @@ def leading_zero_rep_file(tmp_path):
     return write_json(tmp_path / "rep5.json", affine_to_json(a)), "1,-1/2,2"
 
 
-def rep7_file(tmp_path):
+def rep7_file(tmp_path, rank=5):
     # A 7x7 representation in 4 variables whose matrix at x0 is G*H with
-    # G 7x5 and H 5x7, so its corank is 2; entries carry mixed denominators.
+    # G 7 x rank and H rank x 7, so its corank is 7 - rank; entries carry
+    # mixed denominators.
     rng = random.Random(2026)
 
     def entry():
         return Fraction(rng.randint(-3, 3), rng.choice([1, 1, 2, 3]))
 
-    g = [[entry() for _ in range(5)] for _ in range(7)]
-    h = [[entry() for _ in range(7)] for _ in range(5)]
-    m0 = [[sum(g[i][l] * h[l][j] for l in range(5)) for j in range(7)] for i in range(7)]
+    g = [[entry() for _ in range(rank)] for _ in range(7)]
+    h = [[entry() for _ in range(7)] for _ in range(rank)]
+    m0 = [[sum(g[i][l] * h[l][j] for l in range(rank)) for j in range(7)] for i in range(7)]
     coeffs = [[[entry() for _ in range(7)] for _ in range(7)] for _ in range(4)]
     x0 = [Fraction(1), Fraction(-1, 2), Fraction(2), Fraction(1, 3)]
     const = [
@@ -361,7 +363,21 @@ def rep7_file(tmp_path):
         for i in range(7)
     ]
     a = AffineMatrixPoly(ExactMatrix(const), [ExactMatrix(c) for c in coeffs])
-    return write_json(tmp_path / "rep7.json", affine_to_json(a)), "1,-1/2,2,1/3"
+    return write_json(tmp_path / f"rep7-rank{rank}.json", affine_to_json(a)), "1,-1/2,2,1/3"
+
+
+def affine6_file(tmp_path):
+    # A 6x6 affine matrix in 3 variables with a constant part; det(C_1) != 0,
+    # so c_6 contains x1^6, the largest exponent mv-det can reach.
+    rng = random.Random(6)
+
+    def entry():
+        return Fraction(rng.randint(-2, 2), rng.choice([1, 2, 3]))
+
+    const = [[entry() for _ in range(6)] for _ in range(6)]
+    coeffs = [[[entry() for _ in range(6)] for _ in range(6)] for _ in range(3)]
+    a = AffineMatrixPoly(ExactMatrix(const), [ExactMatrix(c) for c in coeffs])
+    return write_json(tmp_path / "affine6.json", affine_to_json(a))
 
 
 def binary_quartic_file(tmp_path):
@@ -379,12 +395,16 @@ GOLDEN_DIGESTS = {
     "mv-det": "7d7aa7d93c90e70a2de48744e26fab79655d75d01fe3a06121466c4373904dea",
     "interval-psd-pair": "64c2c73592a657c42b728babed8238ee6bc85ed20d6d87ba34fadc2b1ed6bf6b",
     "build-z2k-d5-k2": "2d9365f0995dbef4527512b95f708f721dabd1c222d5d2dee1c68c9c7c05fc4b",
+    "decompose-7x7-k3": "e328efb5fa39b56651419fb9c6475350e8ab1344c1514ed478e8fc22e3025ec0",
+    "decompose-7x7-corank4-k2": "d87761accec056794073d6fd5db8012b2e4253e34dc97bac9b121f464ab23050",
+    "mv-det-6x6": "ffb2c8efd33db031f6d10d64bb0d1dc09f85aecc4621d6ea6c78e6f5a29e7f2f",
 }
 
 
 def golden_commands(tmp_path):
     rep, x0 = leading_zero_rep_file(tmp_path)
     rep7, x07 = rep7_file(tmp_path)
+    rep7_corank4, _ = rep7_file(tmp_path, rank=3)
     quartic = binary_quartic_file(tmp_path)
     return {
         "hessian-d5-matrix": ["hessian", "--d", "5", "--include-matrix"],
@@ -397,6 +417,11 @@ def golden_commands(tmp_path):
         # Free dimension 7: the two-block sampler.
         "interval-psd-pair": ["brank-interval", "--poly", quartic, "--kind", "psd-pair", "--budget", "7"],
         "build-z2k-d5-k2": ["build", "--kind", "z2k", "--d", "5", "--k", "2"],
+        # r = 5 at k = 3: the head slices split with m = 2 and m = 1.
+        "decompose-7x7-k3": ["decompose", "--matrix", rep7, f"--x0={x07}", "--k", "3"],
+        # r = 3 = n - 2k: the Laplace route.
+        "decompose-7x7-corank4-k2": ["decompose", "--matrix", rep7_corank4, f"--x0={x07}", "--k", "2"],
+        "mv-det-6x6": ["mv-det", "--matrix", affine6_file(tmp_path)],
     }
 
 

@@ -150,6 +150,16 @@ def test_hessian_report_small_d():
         assert obj["signature"] == [rep.signature.n_plus, rep.signature.n_minus, 0]
 
 
+def test_hessian_report_checks_the_theorem(monkeypatch):
+    # Full rank, but an inertia whose bound is not (d-1)^2 + 1: the report
+    # must refuse it rather than print a wrong bound.
+    import birank.permhess as permhess
+
+    monkeypatch.setattr(permhess, "signature_exact", lambda h: Signature(7, 9, 0))
+    with pytest.raises(ArithmeticError, match="inertia bound 9, expected 10"):
+        hessian_report(4)
+
+
 def test_report_bound_strictly_improves_for_d3():
     rep = hessian_report(3)
     assert rep.new_bound == 5
