@@ -6,6 +6,9 @@ The package is organized in layers: `polyring` (exact sparse polynomials),
 constraint systems and minrank intervals), `abpdec` (clow-sequence
 determinant programs and certified product-sum decompositions), `certify`
 (floating-point eigenvalue certificates), and `cli`.
+
+Symbolic and exponential routes kept only as references for the tests
+live in tests/*_oracle.py, not in the package.
 """
 
 from birank.abpdec import (
@@ -25,13 +28,12 @@ from birank.exactla import (
     signature_exact,
     singular_normal_form,
 )
-from birank.permhess import hessian, hessian_perm_fast, hessian_report, perm_zero_point
+from birank.permhess import hessian_report, perm_zero_point
 from birank.polyring import (
     Polynomial,
     det_poly,
     homogeneous_part,
     monomial_index_set,
-    monomial_split,
     perm_poly,
     point,
     shift,
@@ -64,14 +66,11 @@ __all__ = [
     "decompose_from_representation",
     "det_poly",
     "generic_birank_floor",
-    "hessian",
-    "hessian_perm_fast",
     "hessian_report",
     "homogeneous_part",
     "jacobi_eigh",
     "minrank_interval",
     "monomial_index_set",
-    "monomial_split",
     "mu",
     "perm_poly",
     "perm_zero_point",

@@ -48,7 +48,6 @@ from birank.polyring import (
     Point,
     Polynomial,
     monomial_index_set,
-    poly_from_json,
     poly_to_json,
     split_terms,
 )
@@ -357,20 +356,6 @@ def decomposition_to_json(dec: BiDecomposition) -> dict:
         "k": dec.half_degree,
         "pairs": [{"f": poly_to_json(f), "g": poly_to_json(g)} for f, g in dec.pairs],
     }
-
-
-def decomposition_from_json(obj) -> BiDecomposition:
-    if not isinstance(obj, dict) or "k" not in obj or "pairs" not in obj:
-        raise ValueError("decomposition object needs 'k' and 'pairs'")
-    k = int(obj["k"])
-    pairs = [(poly_from_json(p["f"]), poly_from_json(p["g"])) for p in obj["pairs"]]
-    if not pairs:
-        raise ValueError("cannot reconstruct an empty decomposition without a target")
-    num_vars = pairs[0][0].num_vars
-    target = Polynomial.zero(num_vars)
-    for f, g in pairs:
-        target = target + f * g
-    return BiDecomposition.build(k, pairs, target)
 
 
 def _walk_table(entries: dict, head: int, others: Sequence[int], steps: int, backward: bool = False) -> list:

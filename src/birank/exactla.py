@@ -383,28 +383,6 @@ class AffineMatrixPoly:
     def __setattr__(self, name, value):
         raise AttributeError("AffineMatrixPoly is immutable")
 
-    @classmethod
-    def from_entry_polys(cls, grid) -> "AffineMatrixPoly":
-        n = len(grid)
-        if any(len(row) != n for row in grid):
-            raise ValueError("grid must be square")
-        num_vars = grid[0][0].num_vars if n else 0
-        zero_exps = (0,) * num_vars
-        const = [[Fraction(0)] * n for _ in range(n)]
-        coeffs = [[[Fraction(0)] * n for _ in range(n)] for _ in range(num_vars)]
-        for i, row in enumerate(grid):
-            for j, entry in enumerate(row):
-                if entry.num_vars != num_vars:
-                    raise ValueError("mixed variable counts in grid")
-                if entry.degree() > 1:
-                    raise ValueError(f"entry ({i},{j}) is not affine")
-                for exps, coeff in entry.terms.items():
-                    if exps == zero_exps:
-                        const[i][j] = coeff
-                    else:
-                        coeffs[exps.index(1)][i][j] = coeff
-        return cls(ExactMatrix(const), [ExactMatrix(c) for c in coeffs])
-
     def entry_poly(self, i: int, j: int) -> Polynomial:
         terms = {}
         c = self.const[i, j]
@@ -434,9 +412,6 @@ class AffineMatrixPoly:
     def linear_part(self) -> "AffineMatrixPoly":
         return AffineMatrixPoly(ExactMatrix.zeros(self.n, self.n), self.coeffs)
 
-    def add_constant(self, m: ExactMatrix) -> "AffineMatrixPoly":
-        return AffineMatrixPoly(self.const + m, self.coeffs)
-
     def left_right_multiply(self, s: ExactMatrix, t: ExactMatrix) -> "AffineMatrixPoly":
         return AffineMatrixPoly(s @ self.const @ t, [s @ c @ t for c in self.coeffs])
 
@@ -446,17 +421,14 @@ class AffineMatrixPoly:
             [c.submatrix(row_idx, col_idx) for c in self.coeffs],
         )
 
-    def delete_row_col(self, idx: int) -> "AffineMatrixPoly":
-        keep = [i for i in range(self.n) if i != idx]
-        return self.submatrix(keep, keep)
-
     def det_polynomial(self) -> Polynomial:
         """Full symbolic determinant by Leibniz expansion; meant for small n."""
+        entries = [[self.entry_poly(i, j) for j in range(self.n)] for i in range(self.n)]
         total = Polynomial.zero(self.num_vars)
         for perm, sign in _permutations_with_parity(self.n):
             prod = Polynomial.constant(self.num_vars, sign)
             for i in range(self.n):
-                prod = prod * self.entry_poly(i, perm[i])
+                prod = prod * entries[i][perm[i]]
             total = total + prod
         return total
 

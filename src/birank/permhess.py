@@ -5,12 +5,11 @@ by 1 - d.  Row sums of every (d-1) x (d-1) minor built from it force the
 permanent to vanish there while the Hessian stays full rank, which is
 what makes the point useful for rank-based lower bounds.
 
-Three routes to the same d^2 x d^2 matrix are provided.  The closed-form
-block assembly (hessian_blocks) is the production route: hessian_report
-and the CLI use it.  Symbolic second derivatives of any polynomial
-(hessian) and permanental minors by Ryser's exponential formula
-(hessian_perm_fast, permanent_exact) are kept as oracles; tests and the
-acceptance gate require all three to agree entrywise.
+The d^2 x d^2 matrix is assembled from closed-form blocks
+(hessian_blocks); hessian_report and the CLI use it.  Symbolic second
+derivatives of any polynomial and permanental minors by Ryser's
+exponential formula serve as oracles in tests/perm_oracle.py; tests and
+the acceptance gate require all three routes to agree entrywise.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from fractions import Fraction
 from typing import Optional
 
 from birank.exactla import ExactMatrix, Signature, kron, signature_exact
-from birank.polyring import Point, Polynomial, point
+from birank.polyring import Point
 
 
 def perm_zero_point(d: int) -> Point:
@@ -32,89 +31,6 @@ def perm_zero_point(d: int) -> Point:
     values = [Fraction(1)] * (d * d)
     values[-1] = Fraction(1 - d)
     return tuple(values)
-
-
-def hessian(p: Polynomial, x0: Point) -> ExactMatrix:
-    """Matrix of second partials of p evaluated at x0, exactly."""
-    x0 = point(x0)
-    n = p.num_vars
-    if len(x0) != n:
-        raise ValueError(f"point has {len(x0)} coordinates, expected {n}")
-    h = [[Fraction(0)] * n for _ in range(n)]
-    for exps, coeff in p.terms.items():
-        support = [l for l, e in enumerate(exps) if e]
-        for a in support:
-            ea = exps[a]
-            for b in support:
-                # d^2/dx_a dx_b of x^exps, then evaluate.
-                eb = exps[b] - (1 if b == a else 0)
-                if eb == 0:
-                    continue
-                value = coeff * ea * eb
-                for l in support:
-                    e = exps[l] - (1 if l == a else 0) - (1 if l == b else 0)
-                    if e:
-                        value *= x0[l] ** e
-                h[a][b] += value
-    m = ExactMatrix(h)
-    if not m.is_symmetric():
-        raise ArithmeticError("hessian must be symmetric")
-    return m
-
-
-def permanent_exact(m: ExactMatrix) -> Fraction:
-    """Permanent by Ryser's inclusion-exclusion; exponential, fine for d <= 10."""
-    if not m.is_square():
-        raise ValueError("permanent needs a square matrix")
-    n = m.rows
-    if n == 0:
-        return Fraction(1)
-    total = Fraction(0)
-    for mask in range(1, 1 << n):
-        row_sums = []
-        for i in range(n):
-            s = Fraction(0)
-            for j in range(n):
-                if mask >> j & 1:
-                    s += m[i, j]
-            row_sums.append(s)
-        prod = Fraction(1)
-        for s in row_sums:
-            prod *= s
-        bits = bin(mask).count("1")
-        total += prod if (n - bits) % 2 == 0 else -prod
-    return total
-
-
-def hessian_perm_fast(d: int) -> ExactMatrix:
-    """Hessian of the d x d permanent at perm_zero_point(d) via permanental
-    minors: the ((i,j),(i',j')) entry is the permanent of the point matrix
-    with rows {i,i'} and columns {j,j'} removed, zero when i = i' or j = j'."""
-    if d < 2:
-        raise ValueError("need d >= 2")
-    pt = perm_zero_point(d)
-    grid = [[pt[i * d + j] for j in range(d)] for i in range(d)]
-    cache = {}
-
-    def minor_perm(i, ip, j, jp):
-        key = (frozenset((i, ip)), frozenset((j, jp)))
-        if key not in cache:
-            rows = [r for r in range(d) if r not in (i, ip)]
-            cols = [c for c in range(d) if c not in (j, jp)]
-            sub = ExactMatrix([[grid[r][c] for c in cols] for r in rows])
-            cache[key] = permanent_exact(sub)
-        return cache[key]
-
-    n = d * d
-    h = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(d):
-        for j in range(d):
-            for ip in range(d):
-                for jp in range(d):
-                    if i == ip or j == jp:
-                        continue
-                    h[i * d + j][ip * d + jp] = minor_perm(i, ip, j, jp)
-    return ExactMatrix(h)
 
 
 def hollow_ones(d: int) -> ExactMatrix:

@@ -185,18 +185,6 @@ class Polynomial:
             total += value
         return total
 
-    def differentiate(self, index: int) -> "Polynomial":
-        """Partial derivative with respect to x_index, 0-based."""
-        if not 0 <= index < self.num_vars:
-            raise ValueError(f"variable index {index} out of range")
-        acc = {}
-        for exps, coeff in self.terms.items():
-            e = exps[index]
-            if e:
-                lowered = exps[:index] + (e - 1,) + exps[index + 1:]
-                acc[lowered] = acc.get(lowered, Fraction(0)) + coeff * e
-        return Polynomial(self.num_vars, acc)
-
 
 def shift(p: Polynomial, x0: Point) -> Polynomial:
     """The shifted polynomial q(x) = p(x + x0), expanded exactly."""
@@ -302,25 +290,6 @@ def _greedy_divisor(exps: Exponent, m: int) -> Exponent:
     if left:
         raise ValueError(f"monomial {exps} has degree below {m}")
     return tuple(out)
-
-
-def monomial_split(p: Polynomial, m: int) -> list:
-    """Split a homogeneous p of degree >= m into pairs (f_i, g_i) with p = sum f_i*g_i.
-
-    Each f_i is a distinct degree-m monomial (coefficient 1) dividing some
-    term of p, g_i collects the cofactors.  Pair count is at most the number
-    of degree-m monomials.  Returns [] for the zero polynomial.
-    """
-    if p.is_zero():
-        return []
-    if not p.is_homogeneous():
-        raise ValueError("monomial_split needs a homogeneous polynomial")
-    if m < 0 or m > p.degree():
-        raise ValueError(f"cannot split degree {p.degree()} at m={m}")
-    return [
-        (Polynomial.monomial(p.num_vars, div), Polynomial(p.num_vars, cofactor))
-        for div, cofactor in split_terms(p.terms.items(), m)
-    ]
 
 
 def split_terms(terms, m: int) -> list:

@@ -8,9 +8,9 @@ equation per degree-2k monomial: the entries of Q along each anti-chain
 of a solution is the bi-polynomial rank of p; the minimum over symmetric
 solutions and over differences of two PSD matrices sandwich it.  This
 module builds those systems explicitly (including a projected multilinear
-variant tied to the shifted permanent), checks and solves them exactly,
-and computes sound lower/upper bounds for the minimum rank over rational
-solutions.
+variant tied to the shifted permanent), writes them as JSON, and solves
+them exactly to compute sound lower/upper bounds for the minimum rank
+over rational solutions.
 
 Equations store their coefficients entry by entry, never folded into an
 upper triangle, so the documented coefficient sets (for the projected
@@ -27,19 +27,13 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from birank.exactla import (
+    AffineMatrixPoly,
     ExactMatrix,
     rank_integer,
     signature_lower_bound,
     solve_linear,
 )
-from birank.polyring import (
-    Exponent,
-    Polynomial,
-    _permutations_with_parity,
-    fraction_to_json,
-    monomial_count,
-    monomial_index_set,
-)
+from birank.polyring import Exponent, Polynomial, fraction_to_json, monomial_index_set
 
 
 @dataclass(frozen=True)
@@ -137,18 +131,6 @@ def build_psd_pair_system(p: Polynomial) -> ConstraintSystem:
     )
 
 
-def insert_zeros(exps: Exponent, d: int) -> Exponent:
-    """Lift an exponent tuple over the (d-1) x (d-1) matrix variables to the
-    d x d variables, zero-padding the last row and column."""
-    if len(exps) != (d - 1) * (d - 1):
-        raise ValueError(f"expected {(d - 1) * (d - 1)} exponents")
-    out = [0] * (d * d)
-    for pos, e in enumerate(exps):
-        i, j = divmod(pos, d - 1)
-        out[i * d + j] = e
-    return tuple(out)
-
-
 def multilinear_index_set(num_vars: int, k: int) -> list:
     """All 0/1 exponent tuples of weight k, in graded-lex order."""
     out = []
@@ -204,88 +186,8 @@ def build_z2k(d: int, k: int) -> ConstraintSystem:
     )
 
 
-def project_pair_to_z2k(plus: ExactMatrix, minus: ExactMatrix, d: int, k: int):
-    """Project a solution pair of the full d x d pair system onto the
-    multilinear system built by build_z2k: restrict both matrices to the
-    multilinear monomials supported on the top-left block and multiply by
-    the system's scale."""
-    z = build_z2k(d, k)
-    full_basis = monomial_index_set(d * d, k)
-    full_index = {exps: i for i, exps in enumerate(full_basis)}
-    rows = [full_index[insert_zeros(exps, d)] for exps in z.basis]
-    out = []
-    for m in (plus, minus):
-        if m.rows != len(full_basis) or m.cols != len(full_basis):
-            raise ValueError("matrix is not indexed by the full degree-k basis")
-        out.append(m.submatrix(rows, rows).scale(z.scale))
-    return out[0], out[1]
-
-
-@dataclass(frozen=True)
-class ProjectionCounts:
-    full_basis: int
-    multilinear_basis: int
-
-    @property
-    def gap(self) -> int:
-        return self.full_basis - self.multilinear_basis
-
-
-def projection_sandwich(d: int, k: int) -> ProjectionCounts:
-    """Basis sizes on the two sides of the projection: all degree-k
-    monomials in d^2 variables vs multilinear ones in (d-1)^2 variables."""
-    if d < 2 or k < 1:
-        raise ValueError("need d >= 2 and k >= 1")
-    return ProjectionCounts(
-        full_basis=monomial_count(d * d, k),
-        multilinear_basis=math.comb((d - 1) * (d - 1), k),
-    )
-
-
 # ---------------------------------------------------------------------------
-# Evaluating, checking, solving.
-
-
-def _as_blocks(cs: ConstraintSystem, matrices) -> Tuple[ExactMatrix, ...]:
-    if isinstance(matrices, ExactMatrix):
-        matrices = (matrices,)
-    matrices = tuple(matrices)
-    if len(matrices) != cs.block_count:
-        raise ValueError(f"expected {cs.block_count} matrices, got {len(matrices)}")
-    for m in matrices:
-        if m.rows != cs.size or m.cols != cs.size:
-            raise ValueError(f"matrices must be {cs.size} x {cs.size}")
-        if cs.symmetric and not m.is_symmetric():
-            raise ValueError("system requires symmetric matrices")
-    return matrices
-
-
-def gram_expand(cs: ConstraintSystem, matrices) -> Polynomial:
-    """v(x)^T Q v(x) for a single matrix, or the difference of the two
-    blocks for a pair system, over the system's monomial basis."""
-    matrices = _as_blocks(cs, matrices)
-    acc: Dict[Exponent, Fraction] = {}
-    signs = (1, -1)
-    for b, m in enumerate(matrices):
-        sign = signs[b]
-        for i, bi in enumerate(cs.basis):
-            for j, bj in enumerate(cs.basis):
-                v = m[i, j]
-                if v:
-                    h = tuple(a + b2 for a, b2 in zip(bi, bj))
-                    acc[h] = acc.get(h, Fraction(0)) + sign * v
-    return Polynomial(cs.num_vars, acc)
-
-
-def check_solution(cs: ConstraintSystem, matrices) -> bool:
-    matrices = _as_blocks(cs, matrices)
-    for eq in cs.equations:
-        total = Fraction(0)
-        for block, i, j, coef in eq.terms:
-            total += coef * matrices[block][i, j]
-        if total != eq.rhs:
-            return False
-    return True
+# The solution space as a linear system.
 
 
 def _variable_layout(cs: ConstraintSystem):
@@ -322,17 +224,6 @@ def _linear_system(cs: ConstraintSystem):
         rows.append(row)
         rhs.append(eq.rhs)
     return grids, rows, rhs
-
-
-def solve_feasible(cs: ConstraintSystem) -> Tuple[ExactMatrix, ...]:
-    """One exact solution of the system (free variables zero); raises on an
-    infeasible system."""
-    grids, rows, rhs = _linear_system(cs)
-    solved = solve_linear(rows, rhs)
-    if solved is None:
-        raise ValueError("constraint system is infeasible")
-    particular, _ = solved
-    return _matrices_from_vector(grids, particular)
 
 
 # ---------------------------------------------------------------------------
@@ -387,37 +278,18 @@ def _sample_ranker(grids, particular, basis_vecs):
     return rank_at
 
 
-def _symbolic_solution_matrix(grids, particular, basis_vecs):
-    # Entries of the general solution as polynomials in the free parameters;
-    # the blocks of a pair stack block-diagonally, so their ranks add up.
-    f = len(basis_vecs)
-    n = len(grids[0])
-    zero = Polynomial.zero(f)
-    out = [[zero] * (n * len(grids)) for _ in range(n * len(grids))]
-    for b, grid in enumerate(grids):
-        for i, row in enumerate(grid):
-            for j, col in enumerate(row):
-                terms = {}
-                if particular[col]:
-                    terms[(0,) * f] = particular[col]
-                for l, vec in enumerate(basis_vecs):
-                    if vec[col]:
-                        exps = tuple(1 if t == l else 0 for t in range(f))
-                        terms[exps] = vec[col]
-                out[b * n + i][b * n + j] = Polynomial(f, terms)
-    return out
+def _solution_matrix_poly(grids, particular, basis_vecs) -> AffineMatrixPoly:
+    # The general solution as one matrix affine in the free parameters; the
+    # blocks of a pair stack block-diagonally, so their ranks add up.
+    def block_diagonal(vec) -> ExactMatrix:
+        blocks = _matrices_from_vector(grids, vec)
+        n = len(grids[0])
+        return ExactMatrix([
+            [0] * (b * n) + list(row) + [0] * ((len(blocks) - 1 - b) * n)
+            for b, m in enumerate(blocks) for row in m.entries
+        ])
 
-
-def _poly_det(grid, rows, cols):
-    total = None
-    for perm, sign in _permutations_with_parity(len(rows)):
-        prod = None
-        for a, i in enumerate(rows):
-            entry = grid[i][cols[perm[a]]]
-            prod = entry if prod is None else prod * entry
-        signed = prod if sign > 0 else -prod
-        total = signed if total is None else total + signed
-    return total
+    return AffineMatrixPoly(block_diagonal(particular), [block_diagonal(v) for v in basis_vecs])
 
 
 def _univariate_rational_roots(p: Polynomial):
@@ -531,8 +403,8 @@ def minrank_interval(cs: ConstraintSystem, budget: int = 6, seed: int = 0) -> Mi
 
     total_size = cs.size * cs.block_count
     if total_size <= 6:
-        grid = _symbolic_solution_matrix(grids, particular, basis_vecs)
-        n = len(grid)
+        a = _solution_matrix_poly(grids, particular, basis_vecs)
+        n = a.n
         for m in (2, 3):
             if m > n or lower >= m:
                 continue
@@ -540,7 +412,7 @@ def minrank_interval(cs: ConstraintSystem, budget: int = 6, seed: int = 0) -> Mi
             all_minors = []
             for ridx in itertools.combinations(range(n), m):
                 for cidx in itertools.combinations(range(n), m):
-                    minor = _poly_det(grid, list(ridx), list(cidx))
+                    minor = a.submatrix(ridx, cidx).det_polynomial()
                     all_minors.append(minor)
                     if not minor.is_zero() and minor.degree() == 0:
                         found_constant = True
@@ -580,14 +452,6 @@ def _coef_to_json(c: Fraction):
     return f"{c.numerator}/{c.denominator}"
 
 
-def _coef_from_json(obj) -> Fraction:
-    if isinstance(obj, int):
-        return Fraction(obj)
-    if isinstance(obj, str):
-        return Fraction(obj)
-    raise ValueError(f"bad coefficient {obj!r}")
-
-
 def system_to_json(cs: ConstraintSystem) -> dict:
     return {
         "n": cs.size,
@@ -605,29 +469,3 @@ def system_to_json(cs: ConstraintSystem) -> dict:
             for eq in cs.equations
         ],
     }
-
-
-def system_from_json(obj) -> ConstraintSystem:
-    from birank.polyring import fraction_from_json
-
-    required = {"n", "pair", "eqs"}
-    if not isinstance(obj, dict) or not required <= set(obj):
-        raise ValueError("constraint system object needs 'n', 'pair', 'eqs'")
-    basis = tuple(tuple(int(e) for e in b) for b in obj.get("basis", []))
-    equations = []
-    for eq in obj["eqs"]:
-        terms = tuple(
-            (int(t[0]), int(t[1]), int(t[2]), _coef_from_json(t[3])) for t in eq["terms"]
-        )
-        equations.append(LinearEquation(terms=terms, rhs=fraction_from_json(eq["rhs"])))
-    scale = obj.get("scale")
-    return ConstraintSystem(
-        size=int(obj["n"]),
-        pair=bool(obj["pair"]),
-        symmetric=bool(obj.get("symmetric", False)),
-        num_vars=int(obj.get("num_vars", len(basis[0]) if basis else 0)),
-        half_degree=int(obj.get("k", 1)),
-        basis=basis,
-        equations=tuple(equations),
-        scale=fraction_from_json(scale) if scale else None,
-    )

@@ -6,18 +6,74 @@ programs, the head-walk tables, the head-slice and Laplace pairs, the
 trailing-ones recursion and the characteristic coefficients.  The tests
 compare the integer routes with them pair by pair.  The brute-force
 routes are exponential; the enumeration limits guard them.
+
+The affine-matrix helpers (a matrix from its entry polynomials, adding a
+constant, deleting a row and column) and the monomial split of a
+Polynomial serve these oracles and the tests that build matrices by
+hand.
 """
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from birank.abpdec import BiDecomposition, det_lambda_part
-from birank.exactla import AffineMatrixPoly, trailing_ones_matrix
-from birank.polyring import Polynomial, monomial_split
+from birank.exactla import AffineMatrixPoly, ExactMatrix, trailing_ones_matrix
+from birank.polyring import Polynomial, split_terms
 
 ENUMERATION_LIMIT_N = 5
 ENUMERATION_LIMIT_LENGTH = 5
+
+
+def from_entry_polys(grid) -> AffineMatrixPoly:
+    n = len(grid)
+    if any(len(row) != n for row in grid):
+        raise ValueError("grid must be square")
+    num_vars = grid[0][0].num_vars if n else 0
+    zero_exps = (0,) * num_vars
+    const = [[Fraction(0)] * n for _ in range(n)]
+    coeffs = [[[Fraction(0)] * n for _ in range(n)] for _ in range(num_vars)]
+    for i, row in enumerate(grid):
+        for j, entry in enumerate(row):
+            if entry.num_vars != num_vars:
+                raise ValueError("mixed variable counts in grid")
+            if entry.degree() > 1:
+                raise ValueError(f"entry ({i},{j}) is not affine")
+            for exps, coeff in entry.terms.items():
+                if exps == zero_exps:
+                    const[i][j] = coeff
+                else:
+                    coeffs[exps.index(1)][i][j] = coeff
+    return AffineMatrixPoly(ExactMatrix(const), [ExactMatrix(c) for c in coeffs])
+
+
+def add_constant(a: AffineMatrixPoly, m: ExactMatrix) -> AffineMatrixPoly:
+    return AffineMatrixPoly(a.const + m, a.coeffs)
+
+
+def delete_row_col(a: AffineMatrixPoly, idx: int) -> AffineMatrixPoly:
+    keep = [i for i in range(a.n) if i != idx]
+    return a.submatrix(keep, keep)
+
+
+def monomial_split(p: Polynomial, m: int) -> list:
+    """Split a homogeneous p of degree >= m into pairs (f_i, g_i) with p = sum f_i*g_i.
+
+    Each f_i is a distinct degree-m monomial (coefficient 1) dividing some
+    term of p, g_i collects the cofactors.  Pair count is at most the number
+    of degree-m monomials.  Returns [] for the zero polynomial.
+    """
+    if p.is_zero():
+        return []
+    if not p.is_homogeneous():
+        raise ValueError("monomial_split needs a homogeneous polynomial")
+    if m < 0 or m > p.degree():
+        raise ValueError(f"cannot split degree {p.degree()} at m={m}")
+    return [
+        (Polynomial.monomial(p.num_vars, div), Polynomial(p.num_vars, cofactor))
+        for div, cofactor in split_terms(p.terms.items(), m)
+    ]
 
 
 @dataclass(frozen=True)
@@ -431,6 +487,6 @@ def fraction_det_part_pairs(a: AffineMatrixPoly, k: int, r: int):
     diff = [i for i in range(n) if lam_r[i, i] != lam_r1[i, i]]
     assert len(diff) == 1
     pairs = list(fraction_det_part_pairs(a, k, r + 1))
-    for f, g in fraction_det_part_pairs(a.delete_row_col(diff[0]), k, r):
+    for f, g in fraction_det_part_pairs(delete_row_col(a, diff[0]), k, r):
         pairs.append((-f, g))
     return pairs

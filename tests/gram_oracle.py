@@ -1,0 +1,166 @@
+"""Gram-solution checks, exact feasible solutions, the z2k projection and
+the constraint-system reader: test oracles for `birank.rankmin`.
+
+`gram_expand` multiplies a candidate solution back out and
+`check_solution` evaluates the equations at it; the tests require the
+two to agree, and use them to check `solve_feasible`, the z2k projection
+of the permanent Hessian and the sampled intervals.  `system_from_json`
+reads the triplet layout that `system_to_json` writes, for the round-trip
+test; no subcommand reads a system back.
+"""
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Dict, Tuple
+
+from birank.exactla import ExactMatrix, solve_linear
+from birank.polyring import (
+    Exponent,
+    Polynomial,
+    fraction_from_json,
+    monomial_count,
+    monomial_index_set,
+)
+from birank.rankmin import (
+    ConstraintSystem,
+    LinearEquation,
+    _linear_system,
+    _matrices_from_vector,
+    build_z2k,
+)
+
+
+def insert_zeros(exps: Exponent, d: int) -> Exponent:
+    """Lift an exponent tuple over the (d-1) x (d-1) matrix variables to the
+    d x d variables, zero-padding the last row and column."""
+    if len(exps) != (d - 1) * (d - 1):
+        raise ValueError(f"expected {(d - 1) * (d - 1)} exponents")
+    out = [0] * (d * d)
+    for pos, e in enumerate(exps):
+        i, j = divmod(pos, d - 1)
+        out[i * d + j] = e
+    return tuple(out)
+
+
+def project_pair_to_z2k(plus: ExactMatrix, minus: ExactMatrix, d: int, k: int):
+    """Project a solution pair of the full d x d pair system onto the
+    multilinear system built by build_z2k: restrict both matrices to the
+    multilinear monomials supported on the top-left block and multiply by
+    the system's scale."""
+    z = build_z2k(d, k)
+    full_basis = monomial_index_set(d * d, k)
+    full_index = {exps: i for i, exps in enumerate(full_basis)}
+    rows = [full_index[insert_zeros(exps, d)] for exps in z.basis]
+    out = []
+    for m in (plus, minus):
+        if m.rows != len(full_basis) or m.cols != len(full_basis):
+            raise ValueError("matrix is not indexed by the full degree-k basis")
+        out.append(m.submatrix(rows, rows).scale(z.scale))
+    return out[0], out[1]
+
+
+@dataclass(frozen=True)
+class ProjectionCounts:
+    full_basis: int
+    multilinear_basis: int
+
+    @property
+    def gap(self) -> int:
+        return self.full_basis - self.multilinear_basis
+
+
+def projection_sandwich(d: int, k: int) -> ProjectionCounts:
+    """Basis sizes on the two sides of the projection: all degree-k
+    monomials in d^2 variables vs multilinear ones in (d-1)^2 variables."""
+    if d < 2 or k < 1:
+        raise ValueError("need d >= 2 and k >= 1")
+    return ProjectionCounts(
+        full_basis=monomial_count(d * d, k),
+        multilinear_basis=math.comb((d - 1) * (d - 1), k),
+    )
+
+
+def _as_blocks(cs: ConstraintSystem, matrices) -> Tuple[ExactMatrix, ...]:
+    if isinstance(matrices, ExactMatrix):
+        matrices = (matrices,)
+    matrices = tuple(matrices)
+    if len(matrices) != cs.block_count:
+        raise ValueError(f"expected {cs.block_count} matrices, got {len(matrices)}")
+    for m in matrices:
+        if m.rows != cs.size or m.cols != cs.size:
+            raise ValueError(f"matrices must be {cs.size} x {cs.size}")
+        if cs.symmetric and not m.is_symmetric():
+            raise ValueError("system requires symmetric matrices")
+    return matrices
+
+
+def gram_expand(cs: ConstraintSystem, matrices) -> Polynomial:
+    """v(x)^T Q v(x) for a single matrix, or the difference of the two
+    blocks for a pair system, over the system's monomial basis."""
+    matrices = _as_blocks(cs, matrices)
+    acc: Dict[Exponent, Fraction] = {}
+    signs = (1, -1)
+    for b, m in enumerate(matrices):
+        sign = signs[b]
+        for i, bi in enumerate(cs.basis):
+            for j, bj in enumerate(cs.basis):
+                v = m[i, j]
+                if v:
+                    h = tuple(a + b2 for a, b2 in zip(bi, bj))
+                    acc[h] = acc.get(h, Fraction(0)) + sign * v
+    return Polynomial(cs.num_vars, acc)
+
+
+def check_solution(cs: ConstraintSystem, matrices) -> bool:
+    matrices = _as_blocks(cs, matrices)
+    for eq in cs.equations:
+        total = Fraction(0)
+        for block, i, j, coef in eq.terms:
+            total += coef * matrices[block][i, j]
+        if total != eq.rhs:
+            return False
+    return True
+
+
+def solve_feasible(cs: ConstraintSystem) -> Tuple[ExactMatrix, ...]:
+    """One exact solution of the system (free variables zero); raises on an
+    infeasible system."""
+    grids, rows, rhs = _linear_system(cs)
+    solved = solve_linear(rows, rhs)
+    if solved is None:
+        raise ValueError("constraint system is infeasible")
+    particular, _ = solved
+    return _matrices_from_vector(grids, particular)
+
+
+def _coef_from_json(obj) -> Fraction:
+    if isinstance(obj, int):
+        return Fraction(obj)
+    if isinstance(obj, str):
+        return Fraction(obj)
+    raise ValueError(f"bad coefficient {obj!r}")
+
+
+def system_from_json(obj) -> ConstraintSystem:
+    required = {"n", "pair", "eqs"}
+    if not isinstance(obj, dict) or not required <= set(obj):
+        raise ValueError("constraint system object needs 'n', 'pair', 'eqs'")
+    basis = tuple(tuple(int(e) for e in b) for b in obj.get("basis", []))
+    equations = []
+    for eq in obj["eqs"]:
+        terms = tuple(
+            (int(t[0]), int(t[1]), int(t[2]), _coef_from_json(t[3])) for t in eq["terms"]
+        )
+        equations.append(LinearEquation(terms=terms, rhs=fraction_from_json(eq["rhs"])))
+    scale = obj.get("scale")
+    return ConstraintSystem(
+        size=int(obj["n"]),
+        pair=bool(obj["pair"]),
+        symmetric=bool(obj.get("symmetric", False)),
+        num_vars=int(obj.get("num_vars", len(basis[0]) if basis else 0)),
+        half_degree=int(obj.get("k", 1)),
+        basis=basis,
+        equations=tuple(equations),
+        scale=fraction_from_json(scale) if scale else None,
+    )

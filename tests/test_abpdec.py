@@ -11,7 +11,6 @@ from birank.abpdec import (
     char_coefficients,
     decompose_det_part,
     decompose_from_representation,
-    decomposition_from_json,
     decomposition_to_json,
     dc_lower_bound,
     dc_sqrt_bound,
@@ -32,16 +31,20 @@ from birank.polyring import (
     monomial_count,
     monomial_index_set,
     point,
+    poly_from_json,
     shift,
 )
 from clow_oracle import (
     Clow,
     ClowSequence,
+    add_constant,
     clow_sum_bruteforce,
     decompose_head_slice,
+    delete_row_col,
     enumerate_clow_sequences,
     fraction_char_coefficients,
     fraction_det_part_pairs,
+    from_entry_polys,
     layer_decomposition,
     layer_widths,
 )
@@ -79,7 +82,7 @@ def char_coefficients_by_leibniz(a):
                     terms[exps] = terms.get(exps, Fraction(0)) + v
             row.append(Polynomial(num_vars + 1, terms))
         grid.append(row)
-    det = AffineMatrixPoly.from_entry_polys(grid).det_polynomial()
+    det = from_entry_polys(grid).det_polynomial()
     out = {k: Polynomial.zero(num_vars) for k in range(n + 1)}
     for exps, coeff in det.terms.items():
         lam_power = exps[-1]
@@ -292,10 +295,10 @@ def test_trailing_ones_recursion_identity():
             lam_r1 = trailing_ones_matrix(n, r + 1)
             diff = [i for i in range(n) if lam_r[i, i] != lam_r1[i, i]]
             assert diff == [n - r - 1]
-            lhs = a.add_constant(lam_r1).det_polynomial()
-            sub = a.delete_row_col(diff[0])
-            rhs = a.add_constant(lam_r).det_polynomial() + sub.add_constant(
-                trailing_ones_matrix(n - 1, r)
+            lhs = add_constant(a, lam_r1).det_polynomial()
+            sub = delete_row_col(a, diff[0])
+            rhs = add_constant(a, lam_r).det_polynomial() + add_constant(
+                sub, trailing_ones_matrix(n - 1, r)
             ).det_polynomial()
             assert lhs == rhs
 
@@ -325,12 +328,12 @@ def test_decompose_det_part_validation():
     with pytest.raises(ValueError):
         decompose_det_part(a, 0, 1)
     with pytest.raises(ValueError):
-        decompose_det_part(a.add_constant(ExactMatrix.identity(3)), 1, 1)
+        decompose_det_part(add_constant(a, ExactMatrix.identity(3)), 1, 1)
 
 
 def perm2_representation():
     x = [Polynomial.variable(4, i) for i in range(4)]
-    return AffineMatrixPoly.from_entry_polys([[x[0], -1 * x[1]], [x[2], x[3]]])
+    return from_entry_polys([[x[0], -1 * x[1]], [x[2], x[3]]])
 
 
 def test_pipeline_on_perm2():
@@ -375,6 +378,20 @@ def test_pipeline_random_representations():
         expected = homogeneous_part(q.det_polynomial(), 2)
         assert rep.decomposition.target == expected
         done += 1
+
+
+def decomposition_from_json(obj) -> BiDecomposition:
+    if not isinstance(obj, dict) or "k" not in obj or "pairs" not in obj:
+        raise ValueError("decomposition object needs 'k' and 'pairs'")
+    k = int(obj["k"])
+    pairs = [(poly_from_json(p["f"]), poly_from_json(p["g"])) for p in obj["pairs"]]
+    if not pairs:
+        raise ValueError("cannot reconstruct an empty decomposition without a target")
+    num_vars = pairs[0][0].num_vars
+    target = Polynomial.zero(num_vars)
+    for f, g in pairs:
+        target = target + f * g
+    return BiDecomposition.build(k, pairs, target)
 
 
 def test_decomposition_json_round_trip():

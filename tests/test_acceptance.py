@@ -34,13 +34,7 @@ from birank.exactla import (
     rank_exact,
     signature_exact,
 )
-from birank.permhess import (
-    hessian,
-    hessian_blocks,
-    hessian_perm_fast,
-    hollow_ones,
-    perm_zero_point,
-)
+from birank.permhess import hessian_blocks, hollow_ones, perm_zero_point
 from birank.polyring import (
     Polynomial,
     homogeneous_part,
@@ -51,11 +45,11 @@ from birank.rankmin import (
     build_affine_system,
     build_psd_pair_system,
     build_z2k,
-    check_solution,
     minrank_interval,
-    project_pair_to_z2k,
 )
-from clow_oracle import clow_sum_bruteforce
+from clow_oracle import clow_sum_bruteforce, from_entry_polys
+from gram_oracle import check_solution, project_pair_to_z2k
+from perm_oracle import hessian, hessian_perm_fast
 
 
 def report(ok: bool, name: str) -> None:
@@ -94,7 +88,7 @@ def leibniz_char_coefficients(a):
                     terms[exps] = terms.get(exps, Fraction(0)) + v
             row.append(Polynomial(num_vars + 1, terms))
         grid.append(row)
-    det = AffineMatrixPoly.from_entry_polys(grid).det_polynomial()
+    det = from_entry_polys(grid).det_polynomial()
     out = {k: Polynomial.zero(num_vars) for k in range(n + 1)}
     for exps, coeff in det.terms.items():
         out[n - exps[-1]] = out[n - exps[-1]] + Polynomial.monomial(

@@ -25,6 +25,7 @@ from birank.exactla import (
 )
 from birank import exactla
 from birank.polyring import Polynomial, homogeneous_part, point, shift
+from clow_oracle import add_constant, from_entry_polys
 
 
 def random_matrix(rng, rows, cols, span=4):
@@ -274,7 +275,7 @@ def test_solve_linear():
 
 
 def affine_from_grid(grid):
-    return AffineMatrixPoly.from_entry_polys(grid)
+    return from_entry_polys(grid)
 
 
 def test_affine_entry_round_trip():
@@ -327,7 +328,7 @@ def test_singular_normal_form_perm2():
     # Symbolic oracle for the identity the construction's exact checks
     # imply; the degree-2 slice is the shifted permanent's quadratic part.
     p_shifted = shift(q.det_polynomial(), x0)
-    lhs = form.linear.add_constant(lam).det_polynomial()
+    lhs = add_constant(form.linear, lam).det_polynomial()
     assert lhs == p_shifted
     assert not homogeneous_part(p_shifted, 2).is_zero()
 
@@ -349,7 +350,7 @@ def test_singular_normal_form_random():
         assert det_exact(form.s) * det_exact(form.t) == 1
         assert form.linear.is_linear()
         # Symbolic oracle for the identity the two exact checks imply.
-        assert form.linear.add_constant(lam).det_polynomial() == q.det_polynomial()
+        assert add_constant(form.linear, lam).det_polynomial() == q.det_polynomial()
         built += 1
 
 
@@ -431,7 +432,7 @@ def test_nonsingular_normal_form_perm2():
     linear, alpha = nonsingular_normal_form(q, x0)
     assert alpha == 1
     assert linear.is_linear()
-    lhs = linear.add_constant(ExactMatrix.identity(2)).det_polynomial() * alpha
+    lhs = add_constant(linear, ExactMatrix.identity(2)).det_polynomial() * alpha
     assert lhs == shift(q.det_polynomial(), x0)
     with pytest.raises(ValueError):
         nonsingular_normal_form(q, point([1, 1, 1, -1]))

@@ -13,18 +13,16 @@ from birank.exactla import (
 )
 from birank.permhess import (
     HessianReport,
-    hessian,
     hessian_blocks,
-    hessian_perm_fast,
     hessian_report,
     hollow_ones,
     last_row_block,
     perm_zero_point,
-    permanent_exact,
     report_to_json,
     row_pair_block,
 )
 from birank.polyring import Polynomial, perm_poly, point
+from perm_oracle import differentiate, hessian, hessian_perm_fast, permanent_exact
 
 
 def hessian_by_differentiation(p, x0):
@@ -32,8 +30,8 @@ def hessian_by_differentiation(p, x0):
     n = p.num_vars
     rows = []
     for a in range(n):
-        da = p.differentiate(a)
-        rows.append([da.differentiate(b).eval(x0) for b in range(n)])
+        da = differentiate(p, a)
+        rows.append([differentiate(da, b).eval(x0) for b in range(n)])
     return ExactMatrix(rows)
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from birank.exactla import ExactMatrix, rank_exact, solve_linear
-from birank.permhess import hessian_perm_fast, perm_zero_point
+from birank.permhess import perm_zero_point
 from birank.polyring import (
     Polynomial,
     homogeneous_part,
@@ -26,17 +26,20 @@ from birank.rankmin import (
     build_psd_pair_system,
     build_sym_system,
     build_z2k,
+    minrank_interval,
+    multilinear_index_set,
+    system_to_json,
+)
+from gram_oracle import (
     check_solution,
     gram_expand,
     insert_zeros,
-    minrank_interval,
-    multilinear_index_set,
     project_pair_to_z2k,
     projection_sandwich,
     solve_feasible,
     system_from_json,
-    system_to_json,
 )
+from perm_oracle import hessian_perm_fast
 
 
 def poly_from_coeffs(num_vars, coeffs):
@@ -445,3 +448,44 @@ def test_z2k_matches_exponent_list_oracle(d, k):
     m = d - 1
     ones = sum(eq.rhs == 1 for eq in cs.equations)
     assert ones == math.comb(m, 2 * k) ** 2 * math.factorial(2 * k)
+
+
+def seeded_form(num_vars, degree, seed):
+    rng = random.Random(seed)
+    return poly_from_coeffs(
+        num_vars, {e: rng.randint(-3, 3) for e in monomial_index_set(num_vars, degree)}
+    )
+
+
+# Full intervals of seeded forms whose systems have total size at most 6,
+# so the minor search runs on every one of them.  psd-pair cannot end on a
+# minor route: the Q_minus entries are all free parameters, so no minor
+# through them is constant, and its free dimension is at least 3.
+MINOR_ROUTE_INTERVALS = {
+    ((2, 2, 2), "xp"): (2, 2, "minor-system-no-rational-root", "origin", 1),
+    ((2, 2, 2), "sym"): (2, 2, "unique-solution", "unique-solution", 0),
+    ((2, 2, 2), "psd-pair"): (1, 2, "nonzero-form", "origin", 3),
+    ((3, 2, 2), "xp"): (2, 3, "shared-symmetric-part-inertia", "origin", 3),
+    ((3, 2, 2), "sym"): (3, 3, "unique-solution", "unique-solution", 0),
+    ((3, 2, 2), "psd-pair"): (1, 3, "nonzero-form", "origin", 6),
+    ((2, 4, 0), "xp"): (1, 2, "nonzero-form", "origin", 4),
+    ((2, 4, 0), "sym"): (2, 2, "minor-system-no-rational-root", "origin", 1),
+    ((2, 4, 0), "psd-pair"): (1, 2, "nonzero-form", "origin", 7),
+    ((2, 4, 4), "xp"): (1, 2, "nonzero-form", "origin", 4),
+    ((2, 4, 4), "sym"): (2, 2, "constant-minor", "axis-sweep", 1),
+    ((2, 4, 4), "psd-pair"): (1, 2, "nonzero-form", "axis-sweep", 7),
+}
+
+
+@pytest.mark.parametrize(
+    "form,kind",
+    list(MINOR_ROUTE_INTERVALS),
+    ids=[f"vars{v}-deg{d}-seed{s}-{kind}" for (v, d, s), kind in MINOR_ROUTE_INTERVALS],
+)
+def test_minor_route_intervals_are_pinned(form, kind):
+    build = {"xp": build_affine_system, "sym": build_sym_system, "psd-pair": build_psd_pair_system}[kind]
+    cs = build(seeded_form(*form))
+    assert cs.size * cs.block_count <= 6
+    iv = minrank_interval(cs, budget=7)
+    got = (iv.lower, iv.upper, iv.lower_method, iv.upper_method, iv.free_dimension)
+    assert got == MINOR_ROUTE_INTERVALS[form, kind]
