@@ -347,9 +347,6 @@ class BiDecomposition:
             raise DecompositionError("pairs do not re-multiply to the target")
         return cls(half_degree=half_degree, pairs=tuple(kept), target=total)
 
-    def __len__(self):
-        return len(self.pairs)
-
 
 def decomposition_to_json(dec: BiDecomposition) -> dict:
     return {

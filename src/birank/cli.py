@@ -60,6 +60,8 @@ def _load_json(path):
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read JSON from {path}: {exc}")
+    except RecursionError:
+        raise UsageError(f"cannot read JSON from {path}: nested too deeply")
 
 
 def _parse_point(text: str) -> Tuple[Fraction, ...]:
@@ -102,20 +104,22 @@ def _load_poly(args: argparse.Namespace) -> polyring.Polynomial:
     return polyring.poly_from_json(_load_json(args.poly_path))
 
 
+_GRAM_BUILDERS = {
+    "xp": rankmin.build_affine_system,
+    "sym": rankmin.build_sym_system,
+    "psd-pair": rankmin.build_psd_pair_system,
+}
+
+
 def cmd_build(args: argparse.Namespace) -> int:
-    if args.kind in ("xp", "sym", "psd-pair"):
+    if args.kind in _GRAM_BUILDERS:
         p = _load_poly(args)
         if p.degree() > 0 and p.is_homogeneous():
             k = p.degree() // 2
             size = polyring.monomial_count(p.num_vars, max(k, 1))
             if size > 60:
                 raise UsageError(f"basis of {size} monomials is too large to build")
-        builder = {
-            "xp": rankmin.build_affine_system,
-            "sym": rankmin.build_sym_system,
-            "psd-pair": rankmin.build_psd_pair_system,
-        }[args.kind]
-        cs = builder(p)
+        cs = _GRAM_BUILDERS[args.kind](p)
     elif args.kind == "z2k":
         if args.d is None or args.k is None:
             raise UsageError("--kind z2k needs --d and --k")
@@ -180,19 +184,14 @@ def cmd_brank_interval(args: argparse.Namespace) -> int:
         raise UsageError("brank-interval needs --poly FILE")
     p = polyring.poly_from_json(_load_json(args.poly_path))
     kind = args.kind or "xp"
-    if kind not in ("xp", "sym", "psd-pair"):
+    if kind not in _GRAM_BUILDERS:
         raise UsageError(f"unknown system kind {kind!r}")
     if p.is_zero() or not p.is_homogeneous() or p.degree() % 2 or p.degree() == 0:
         raise UsageError("brank-interval needs a nonzero homogeneous form of even degree")
     size = polyring.monomial_count(p.num_vars, p.degree() // 2)
     if size > 20:
         raise UsageError(f"monomial basis of {size} is too large for the interval search")
-    builder = {
-        "xp": rankmin.build_affine_system,
-        "sym": rankmin.build_sym_system,
-        "psd-pair": rankmin.build_psd_pair_system,
-    }[kind]
-    cs = builder(p)
+    cs = _GRAM_BUILDERS[kind](p)
     if args.export_cs:
         _emit(rankmin.system_to_json(cs), args.export_cs)
     interval = rankmin.minrank_interval(cs, budget=args.budget, seed=args.seed)
@@ -277,7 +276,7 @@ def build_parser() -> _Parser:
 
     p = add("build", "emit a Gram constraint system as JSON")
     p.add_argument(
-        "--kind", required=True, choices=["xp", "sym", "psd-pair", "z2k"],
+        "--kind", required=True, choices=[*_GRAM_BUILDERS, "z2k"],
         help="system flavor",
     )
     p.add_argument("--poly", dest="poly_path", help="polynomial JSON (xp/sym/psd-pair)")
@@ -295,7 +294,7 @@ def build_parser() -> _Parser:
 
     p = add("brank-interval", "certified rank interval for a form's Gram systems")
     p.add_argument("--poly", dest="poly_path", required=True, help="polynomial JSON")
-    p.add_argument("--kind", choices=["xp", "sym", "psd-pair"], help="system flavor")
+    p.add_argument("--kind", choices=list(_GRAM_BUILDERS), help="system flavor")
     p.add_argument("--budget", type=int, default=6, help="max free dimension")
     p.add_argument("--seed", type=int, default=0, help="seed for random sampling")
     p.add_argument("--export-cs", dest="export_cs", help="also write the system JSON here")

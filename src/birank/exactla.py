@@ -26,11 +26,10 @@ from typing import NamedTuple, Sequence
 
 from birank.polyring import (
     Point,
-    Polynomial,
-    _permutations_with_parity,
     as_fraction,
     fraction_from_json,
     fraction_to_json,
+    int_from_json,
     point,
 )
 
@@ -383,18 +382,6 @@ class AffineMatrixPoly:
     def __setattr__(self, name, value):
         raise AttributeError("AffineMatrixPoly is immutable")
 
-    def entry_poly(self, i: int, j: int) -> Polynomial:
-        terms = {}
-        c = self.const[i, j]
-        if c:
-            terms[(0,) * self.num_vars] = c
-        for l, coeff in enumerate(self.coeffs):
-            v = coeff[i, j]
-            if v:
-                exps = tuple(1 if t == l else 0 for t in range(self.num_vars))
-                terms[exps] = v
-        return Polynomial(self.num_vars, terms)
-
     def evaluate(self, pt: Point) -> ExactMatrix:
         if len(pt) != self.num_vars:
             raise ValueError(f"point has {len(pt)} coordinates, expected {self.num_vars}")
@@ -414,23 +401,6 @@ class AffineMatrixPoly:
 
     def left_right_multiply(self, s: ExactMatrix, t: ExactMatrix) -> "AffineMatrixPoly":
         return AffineMatrixPoly(s @ self.const @ t, [s @ c @ t for c in self.coeffs])
-
-    def submatrix(self, row_idx, col_idx) -> "AffineMatrixPoly":
-        return AffineMatrixPoly(
-            self.const.submatrix(row_idx, col_idx),
-            [c.submatrix(row_idx, col_idx) for c in self.coeffs],
-        )
-
-    def det_polynomial(self) -> Polynomial:
-        """Full symbolic determinant by Leibniz expansion; meant for small n."""
-        entries = [[self.entry_poly(i, j) for j in range(self.n)] for i in range(self.n)]
-        total = Polynomial.zero(self.num_vars)
-        for perm, sign in _permutations_with_parity(self.n):
-            prod = Polynomial.constant(self.num_vars, sign)
-            for i in range(self.n):
-                prod = prod * entries[i][perm[i]]
-            total = total + prod
-        return total
 
     def __eq__(self, other):
         if not isinstance(other, AffineMatrixPoly):
@@ -537,7 +507,7 @@ def matrix_from_json(obj) -> ExactMatrix:
     if not isinstance(obj, dict) or "entries" not in obj:
         raise ValueError("matrix object needs 'entries'")
     m = ExactMatrix([[fraction_from_json(v) for v in row] for row in obj["entries"]])
-    if "rows" in obj and (m.rows != int(obj["rows"]) or m.cols != int(obj["cols"])):
+    if "rows" in obj and (m.rows != int_from_json(obj["rows"]) or m.cols != int_from_json(obj["cols"])):
         raise ValueError("matrix shape does not match declared size")
     return m
 
@@ -555,8 +525,8 @@ def affine_from_json(obj) -> AffineMatrixPoly:
     if not isinstance(obj, dict) or "const" not in obj or "coeff" not in obj:
         raise ValueError("affine matrix object needs 'const' and 'coeff'")
     a = AffineMatrixPoly(matrix_from_json(obj["const"]), [matrix_from_json(c) for c in obj["coeff"]])
-    if "n" in obj and a.n != int(obj["n"]):
+    if "n" in obj and a.n != int_from_json(obj["n"]):
         raise ValueError("affine matrix size mismatch")
-    if "num_vars" in obj and a.num_vars != int(obj["num_vars"]):
+    if "num_vars" in obj and a.num_vars != int_from_json(obj["num_vars"]):
         raise ValueError("affine matrix variable count mismatch")
     return a

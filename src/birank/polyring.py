@@ -13,9 +13,10 @@ two the order is x1^2, x1*x2, x2^2.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Tuple
+from typing import Iterable, Tuple
 
 Exponent = Tuple[int, ...]
 Point = Tuple[Fraction, ...]
@@ -106,9 +107,6 @@ class Polynomial:
 
     def coefficient(self, exps: Exponent) -> Fraction:
         return self.terms.get(tuple(exps), Fraction(0))
-
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.num_vars, Fraction(0))
 
     def sorted_terms(self) -> list:
         return sorted(self.terms.items(), key=lambda item: grlex_key(item[0]))
@@ -218,21 +216,13 @@ def homogeneous_part(p: Polynomial, k: int) -> Polynomial:
     return Polynomial(p.num_vars, {e: c for e, c in p.terms.items() if sum(e) == k})
 
 
-def _permutations_with_parity(n: int) -> Iterator[tuple]:
-    import itertools
-
-    for perm in itertools.permutations(range(n)):
-        inversions = sum(1 for a in range(n) for b in range(a + 1, n) if perm[a] > perm[b])
-        yield perm, -1 if inversions % 2 else 1
-
-
 def perm_poly(d: int) -> Polynomial:
     """Permanent of a d x d matrix of variables, d! monomials with coefficient 1."""
     if d < 1:
         raise ValueError("d must be positive")
     num_vars = d * d
     acc = {}
-    for perm, _ in _permutations_with_parity(d):
+    for perm in itertools.permutations(range(d)):
         exps = [0] * num_vars
         for i in range(d):
             exps[i * d + perm[i]] = 1
@@ -246,11 +236,12 @@ def det_poly(n: int) -> Polynomial:
         raise ValueError("n must be positive")
     num_vars = n * n
     acc = {}
-    for perm, sign in _permutations_with_parity(n):
+    for perm in itertools.permutations(range(n)):
         exps = [0] * num_vars
         for i in range(n):
             exps[i * n + perm[i]] = 1
-        acc[tuple(exps)] = Fraction(sign)
+        inversions = sum(1 for a in range(n) for b in range(a + 1, n) if perm[a] > perm[b])
+        acc[tuple(exps)] = Fraction(-1 if inversions % 2 else 1)
     return Polynomial(num_vars, acc)
 
 
@@ -314,10 +305,19 @@ def fraction_to_json(value: Fraction) -> dict:
     return {"num": str(value.numerator), "den": str(value.denominator)}
 
 
+def int_from_json(value) -> int:
+    """An integer field of JSON input, given as an int or a decimal string.
+    Floats and booleans are refused: int() would truncate 2.5 to 2 and
+    read true as 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"not an integer: {value!r}")
+    return int(value)
+
+
 def fraction_from_json(obj) -> Fraction:
     if not isinstance(obj, dict) or set(obj) != {"num", "den"}:
         raise ValueError(f"not a rational object: {obj!r}")
-    return Fraction(int(obj["num"]), int(obj["den"]))
+    return Fraction(int_from_json(obj["num"]), int_from_json(obj["den"]))
 
 
 def poly_to_json(p: Polynomial) -> dict:
@@ -332,11 +332,11 @@ def poly_to_json(p: Polynomial) -> dict:
 def poly_from_json(obj) -> Polynomial:
     if not isinstance(obj, dict) or "num_vars" not in obj or "terms" not in obj:
         raise ValueError("polynomial object needs 'num_vars' and 'terms'")
-    num_vars = int(obj["num_vars"])
+    num_vars = int_from_json(obj["num_vars"])
     acc = {}
     for entry in obj["terms"]:
-        exps = tuple(int(e) for e in entry["exp"])
-        coeff = Fraction(int(entry["num"]), int(entry["den"]))
+        exps = tuple(int_from_json(e) for e in entry["exp"])
+        coeff = Fraction(int_from_json(entry["num"]), int_from_json(entry["den"]))
         if exps in acc:
             raise ValueError(f"duplicate exponent {exps} in polynomial input")
         acc[exps] = coeff

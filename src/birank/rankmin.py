@@ -27,8 +27,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from birank.exactla import (
-    AffineMatrixPoly,
     ExactMatrix,
+    det_integer,
     rank_integer,
     signature_lower_bound,
     solve_linear,
@@ -247,16 +247,16 @@ def _sample_values():
     return sorted(values)
 
 
-def _sample_ranker(grids, particular, basis_vecs):
-    """rank_at(t): the summed block ranks of the solution
-    particular + sum_l t_l * basis_vecs[l], evaluated on integers.
+def _integer_solution(particular, basis_vecs):
+    """vector_at(den, factors): the integer vector den*L*particular +
+    sum_l factors[l]*(L*basis_vecs[l]), for L the lcm of all the
+    denominators of particular and the nullspace vectors.
 
-    particular and the nullspace vectors are scaled once by L, the lcm of
-    all their denominators, and each direction keeps only its (column,
-    integer) nonzeros.  For a sample t with den the lcm of its
-    denominators, den*L*particular + sum_l (t_l*den)*(L*basis_vecs[l]) is
-    a positive multiple of the rational solution, so its blocks have the
-    same ranks.
+    Each direction keeps only its (column, integer) nonzeros.  For a
+    parameter t with den the lcm of its denominators and factors[l] =
+    t_l*den, this is den*L times the solution particular + sum_l t_l *
+    basis_vecs[l]: a positive multiple, so its blocks have the same ranks
+    and its m-minors are (den*L)^m times the rational ones.
     """
     scale = math.lcm(*(v.denominator for vec in (particular, *basis_vecs) for v in vec))
     base = [v.numerator * (scale // v.denominator) for v in particular]
@@ -265,61 +265,72 @@ def _sample_ranker(grids, particular, basis_vecs):
         for vec in basis_vecs
     ]
 
-    def rank_at(tvec) -> int:
-        den = math.lcm(*(t.denominator for t in tvec))
+    def vector_at(den, factors) -> list:
         vec = [den * v for v in base]
-        for t, direction in zip(tvec, directions):
-            if t:
-                factor = t.numerator * (den // t.denominator)
+        for factor, direction in zip(factors, directions):
+            if factor:
                 for c, v in direction:
                     vec[c] += factor * v
+        return vec
+
+    return vector_at
+
+
+def _sample_ranker(grids, vector_at):
+    """rank_at(t): the summed block ranks of the solution at the rational
+    parameter t, ranked on the integer vector_at(den, t*den)."""
+
+    def rank_at(tvec) -> int:
+        den = math.lcm(*(t.denominator for t in tvec))
+        vec = vector_at(den, [t.numerator * (den // t.denominator) for t in tvec])
         return sum(rank_integer([[vec[c] for c in row] for row in grid]) for grid in grids)
 
     return rank_at
 
 
-def _solution_matrix_poly(grids, particular, basis_vecs) -> AffineMatrixPoly:
-    # The general solution as one matrix affine in the free parameters; the
-    # blocks of a pair stack block-diagonally, so their ranks add up.
-    def block_diagonal(vec) -> ExactMatrix:
-        blocks = _matrices_from_vector(grids, vec)
-        n = len(grids[0])
-        return ExactMatrix([
-            [0] * (b * n) + list(row) + [0] * ((len(blocks) - 1 - b) * n)
-            for b, m in enumerate(blocks) for row in m.entries
-        ])
+def _newton_coefficients(values) -> list:
+    """Integer coefficients, constant term first, of m!*p(t) for the
+    polynomial p of degree <= m with p(t) = values[t] at t = 0..m.
 
-    return AffineMatrixPoly(block_diagonal(particular), [block_diagonal(v) for v in basis_vecs])
+    Newton's forward-difference form p(t) = sum_k D^k p(0) * C(t, k),
+    times m!, turns each binomial into (m!/k!) * t(t-1)...(t-k+1), whose
+    coefficients are integers.
+    """
+    m = len(values) - 1
+    coeffs = [0] * (m + 1)
+    falling = [1]  # t(t-1)...(t-k+1), constant term first
+    diffs = list(values)
+    for k in range(m + 1):
+        weight = diffs[0] * (math.factorial(m) // math.factorial(k))
+        for i, c in enumerate(falling):
+            coeffs[i] += weight * c
+        falling = [a - k * b for a, b in zip([0] + falling, falling + [0])]
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    return coeffs
 
 
-def _univariate_rational_roots(p: Polynomial):
-    if p.num_vars != 1:
-        raise ValueError("univariate only")
-    if p.is_zero():
-        return None  # everything is a root
-    coeffs: Dict[int, Fraction] = {e[0]: c for e, c in p.terms.items()}
-    degree = max(coeffs)
-    scale = math.lcm(*(c.denominator for c in coeffs.values()))
-    ints = {e: int(c * scale) for e, c in coeffs.items()}
-    low = min(ints)
-    roots = set()
-    if low > 0:
-        roots.add(Fraction(0))
-    a0 = ints[low]
-    lead = ints[degree]
+def _vanishes_at(coeffs, t: Fraction) -> bool:
+    # sum_k c_k * num^k * den^(deg - k) == 0, on integers.
+    deg = len(coeffs) - 1
+    return not sum(c * t.numerator ** k * t.denominator ** (deg - k) for k, c in enumerate(coeffs))
+
+
+def _rational_roots(coeffs) -> list:
+    """Sorted rational roots of a nonconstant integer polynomial, constant
+    term first: by the rational root theorem each is +-num/den with num
+    dividing its lowest and den its leading nonzero coefficient."""
+    low = next(k for k, c in enumerate(coeffs) if c)
+    lead = max(k for k, c in enumerate(coeffs) if c)
 
     def divisors(v):
         v = abs(v)
-        out = []
-        for cand in range(1, int(math.isqrt(v)) + 1):
-            if v % cand == 0:
-                out.extend((cand, v // cand))
-        return set(out)
+        return {d for c in range(1, math.isqrt(v) + 1) if v % c == 0 for d in (c, v // c)}
 
-    for num in divisors(a0):
-        for den in divisors(lead):
+    roots = {Fraction(0)} if low > 0 else set()
+    for num in divisors(coeffs[low]):
+        for den in divisors(coeffs[lead]):
             for cand in (Fraction(num, den), Fraction(-num, den)):
-                if p.eval((cand,)) == 0:
+                if _vanishes_at(coeffs, cand):
                     roots.add(cand)
     return sorted(roots)
 
@@ -343,6 +354,15 @@ def minrank_interval(cs: ConstraintSystem, budget: int = 6, seed: int = 0) -> Mi
     the parametrized solution (which survives every parameter choice); and,
     with one free parameter, minor systems with no rational root.  Raises
     on an infeasible system or when the free dimension exceeds budget.
+
+    Minors (m = 2, 3, when the blocks total at most 6 rows) are taken on
+    the same integer solution, at the C(f+m, m) points of the principal
+    lattice {e in N^f : |e| <= m}, unisolvent for degree m (Chung and Yao
+    1977).  A minor is a nonzero constant exactly when all its values are
+    equal and nonzero; with f > 1 it stops at its first zero or differing
+    value.  With f = 1 its values at t = 0..m give, by Newton's forward
+    differences, the integer coefficients of m! * L^m times the minor,
+    whose primitive part is searched for rational roots.
     """
     grids, rows, rhs = _linear_system(cs)
     solved = solve_linear(rows, rhs)
@@ -353,7 +373,8 @@ def minrank_interval(cs: ConstraintSystem, budget: int = 6, seed: int = 0) -> Mi
     if f > budget:
         raise ValueError(f"free dimension {f} exceeds budget {budget}")
 
-    rank_at = _sample_ranker(grids, particular, basis_vecs)
+    vector_at = _integer_solution(particular, basis_vecs)
+    rank_at = _sample_ranker(grids, vector_at)
     upper = rank_at([Fraction(0)] * f)
     upper_method = "origin"
     if f == 0:
@@ -403,35 +424,45 @@ def minrank_interval(cs: ConstraintSystem, budget: int = 6, seed: int = 0) -> Mi
 
     total_size = cs.size * cs.block_count
     if total_size <= 6:
-        a = _solution_matrix_poly(grids, particular, basis_vecs)
-        n = a.n
+        # The blocks of a pair stack block-diagonally, so their ranks add up.
+        n, pad = cs.size, len(grids) - 1
         for m in (2, 3):
-            if m > n or lower >= m:
+            if m > total_size or lower >= m:
                 continue
+            mats = []
+            for degree in range(m + 1):
+                for e in monomial_index_set(f, degree):
+                    vec = vector_at(1, e)
+                    mats.append([[0] * (b * n) + [vec[c] for c in row] + [0] * ((pad - b) * n)
+                                 for b, grid in enumerate(grids) for row in grid])
             found_constant = False
-            all_minors = []
-            for ridx in itertools.combinations(range(n), m):
-                for cidx in itertools.combinations(range(n), m):
-                    minor = a.submatrix(ridx, cidx).det_polynomial()
-                    all_minors.append(minor)
-                    if not minor.is_zero() and minor.degree() == 0:
-                        found_constant = True
+            polys = []
+            subsets = itertools.combinations(range(total_size), m)
+            for ridx, cidx in itertools.product(subsets, repeat=2):
+                # A nonzero constant takes one nonzero value at every point.
+                # With f > 1 that is all the search needs, so a minor stops
+                # at its first zero or differing value; with f = 1 every
+                # value is kept for the root search.
+                values = []
+                for mat in mats:
+                    v = det_integer([[mat[i][j] for j in cidx] for i in ridx])
+                    if f > 1 and (v == 0 or values and v != values[0]):
                         break
-                if found_constant:
+                    values.append(v)
+                if len(values) == len(mats) and (f > 1 or values[0] and len(set(values)) == 1):
+                    found_constant = True
                     break
+                if f == 1 and any(values):
+                    coeffs = _newton_coefficients(values)
+                    g = math.gcd(*coeffs)
+                    polys.append([c // g for c in coeffs])
             if found_constant and m > lower:
                 lower, lower_method = m, "constant-minor"
                 continue
-            if f == 1 and not found_constant:
+            if f == 1 and polys:
                 # No rational parameter kills every m-minor -> rank >= m
                 # at every rational point.
-                nonzero = [q for q in all_minors if not q.is_zero()]
-                if not nonzero:
-                    continue
-                roots = _univariate_rational_roots(nonzero[0])
-                if roots is None:
-                    continue
-                common = [t for t in roots if all(q.eval((t,)) == 0 for q in nonzero)]
+                common = [t for t in _rational_roots(polys[0]) if all(_vanishes_at(q, t) for q in polys)]
                 if not common and m > lower:
                     lower, lower_method = m, "minor-system-no-rational-root"
                 for t in common:

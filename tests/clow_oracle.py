@@ -8,7 +8,8 @@ compare the integer routes with them pair by pair.  The brute-force
 routes are exponential; the enumeration limits guard them.
 
 The affine-matrix helpers (a matrix from its entry polynomials, adding a
-constant, deleting a row and column) and the monomial split of a
+constant, deleting a row and column, an entry polynomial, a submatrix
+and the Leibniz determinant as a Polynomial) and the monomial split of a
 Polynomial serve these oracles and the tests that build matrices by
 hand.
 """
@@ -54,7 +55,45 @@ def add_constant(a: AffineMatrixPoly, m: ExactMatrix) -> AffineMatrixPoly:
 
 def delete_row_col(a: AffineMatrixPoly, idx: int) -> AffineMatrixPoly:
     keep = [i for i in range(a.n) if i != idx]
-    return a.submatrix(keep, keep)
+    return submatrix(a, keep, keep)
+
+
+def entry_poly(a: AffineMatrixPoly, i: int, j: int) -> Polynomial:
+    terms = {}
+    c = a.const[i, j]
+    if c:
+        terms[(0,) * a.num_vars] = c
+    for l, coeff in enumerate(a.coeffs):
+        v = coeff[i, j]
+        if v:
+            exps = tuple(1 if t == l else 0 for t in range(a.num_vars))
+            terms[exps] = v
+    return Polynomial(a.num_vars, terms)
+
+
+def submatrix(a: AffineMatrixPoly, row_idx, col_idx) -> AffineMatrixPoly:
+    return AffineMatrixPoly(
+        a.const.submatrix(row_idx, col_idx),
+        [c.submatrix(row_idx, col_idx) for c in a.coeffs],
+    )
+
+
+def _permutations_with_parity(n: int):
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(1 for a in range(n) for b in range(a + 1, n) if perm[a] > perm[b])
+        yield perm, -1 if inversions % 2 else 1
+
+
+def det_polynomial(a: AffineMatrixPoly) -> Polynomial:
+    """Full symbolic determinant by Leibniz expansion; meant for small n."""
+    entries = [[entry_poly(a, i, j) for j in range(a.n)] for i in range(a.n)]
+    total = Polynomial.zero(a.num_vars)
+    for perm, sign in _permutations_with_parity(a.n):
+        prod = Polynomial.constant(a.num_vars, sign)
+        for i in range(a.n):
+            prod = prod * entries[i][perm[i]]
+        total = total + prod
+    return total
 
 
 def monomial_split(p: Polynomial, m: int) -> list:
@@ -146,7 +185,7 @@ def _entry_table(a: AffineMatrixPoly):
     def entry(v, w):
         key = (v, w)
         if key not in polys:
-            polys[key] = a.entry_poly(v - 1, w - 1)
+            polys[key] = entry_poly(a, v - 1, w - 1)
         return polys[key]
 
     return entry
@@ -460,8 +499,8 @@ def _laplace_pairs(a: AffineMatrixPoly, k: int):
     for subset in itertools.combinations(rows, k):
         rest = [i for i in rows if i not in subset]
         sign = (-1) ** (sum(i + 1 for i in subset) + base)
-        f = a.submatrix(subset, range(k)).det_polynomial()
-        g = a.submatrix(rest, range(k, 2 * k)).det_polynomial()
+        f = det_polynomial(submatrix(a, subset, range(k)))
+        g = det_polynomial(submatrix(a, rest, range(k, 2 * k)))
         pairs.append((sign * f, g))
     return pairs
 

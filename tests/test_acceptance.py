@@ -47,7 +47,7 @@ from birank.rankmin import (
     build_z2k,
     minrank_interval,
 )
-from clow_oracle import clow_sum_bruteforce, from_entry_polys
+from clow_oracle import clow_sum_bruteforce, det_polynomial, from_entry_polys
 from gram_oracle import check_solution, project_pair_to_z2k
 from perm_oracle import hessian, hessian_perm_fast
 
@@ -88,7 +88,7 @@ def leibniz_char_coefficients(a):
                     terms[exps] = terms.get(exps, Fraction(0)) + v
             row.append(Polynomial(num_vars + 1, terms))
         grid.append(row)
-    det = from_entry_polys(grid).det_polynomial()
+    det = det_polynomial(from_entry_polys(grid))
     out = {k: Polynomial.zero(num_vars) for k in range(n + 1)}
     for exps, coeff in det.terms.items():
         out[n - exps[-1]] = out[n - exps[-1]] + Polynomial.monomial(

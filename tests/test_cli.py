@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import random
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import birank
 from birank.cli import canonical_json, main
 from birank.exactla import AffineMatrixPoly, ExactMatrix, affine_to_json
 from birank.polyring import Polynomial, poly_to_json
@@ -182,6 +184,37 @@ def test_brank_interval_rejects_odd_degree(tmp_path, capsys):
     assert main(["brank-interval", "--poly", path]) == 1
 
 
+def test_json_integer_fields_refuse_floats_and_booleans(tmp_path, capsys):
+    # int() used to read the exponent 2.5 as 2 and true as 1, and exit 0.
+    def square(**changes):
+        term = {"exp": [2], "num": "1", "den": "1"}
+        term.update(changes)
+        return {"num_vars": 1, "terms": [term]}
+
+    polys = [square(exp=[2.5]), square(num=True), square(den=2.0),
+             dict(square(), num_vars=1.0)]
+    argvs = [["brank-interval", "--poly", write_json(tmp_path / f"p{i}.json", obj)]
+             for i, obj in enumerate(polys)]
+    with open(perm2_matrix_file(tmp_path)) as fh:
+        matrix = json.load(fh)
+    matrix["const"]["rows"] = 2.0
+    argvs.append(["mv-det", "--matrix", write_json(tmp_path / "m.json", matrix)])
+    for argv in argvs:
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "not an integer" in captured.err
+
+
+def test_deeply_nested_json_is_one_line_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    assert main(["brank-interval", "--poly", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "nested too deeply" in captured.err
+
+
 def test_certify_accept_and_reject(tmp_path, capsys):
     accept = write_json(
         tmp_path / "good.json",
@@ -305,10 +338,15 @@ def test_bounds_validates(capsys):
 
 
 def test_module_entry_point(tmp_path):
+    # The child imports the same birank as this process, also from a
+    # checkout that is not installed.
+    src = os.path.dirname(os.path.dirname(birank.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "birank", "bounds", "--birank", "4", "--k", "1", "--D", "2"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["dc_lower_bound_float"] == 4.0

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -19,8 +20,11 @@ from birank.polyring import (
 from birank.rankmin import (
     ConstraintSystem,
     LinearEquation,
+    _integer_solution,
     _linear_system,
     _matrices_from_vector,
+    _newton_coefficients,
+    _rational_roots,
     _sample_ranker,
     build_affine_system,
     build_psd_pair_system,
@@ -341,7 +345,7 @@ def test_integer_sampler_matches_fraction_ranks():
             f = len(basis_vecs)
             if f == 0 or f > 8:
                 continue
-            rank_at = _sample_ranker(grids, particular, basis_vecs)
+            rank_at = _sample_ranker(grids, _integer_solution(particular, basis_vecs))
             samples = [[Fraction(0)] * f]
             for _ in range(20):
                 samples.append([
@@ -397,7 +401,7 @@ def test_integer_sampler_at_planted_low_rank_solutions():
             for t, vec in zip(tvec, basis_vecs):
                 rebuilt = [a + t * b for a, b in zip(rebuilt, vec)]
             assert rebuilt == planted
-            rank_at = _sample_ranker(grids, particular, basis_vecs)
+            rank_at = _sample_ranker(grids, _integer_solution(particular, basis_vecs))
             assert rank_at(tvec) == fraction_sample_rank(grids, particular, basis_vecs, tvec)
             assert rank_at(tvec) == cs.block_count
             if len({t.denominator for t in tvec if t}) > 1:
@@ -489,3 +493,96 @@ def test_minor_route_intervals_are_pinned(form, kind):
     iv = minrank_interval(cs, budget=7)
     got = (iv.lower, iv.upper, iv.lower_method, iv.upper_method, iv.free_dimension)
     assert got == MINOR_ROUTE_INTERVALS[form, kind]
+
+
+# A seeded sweep of systems of total size at most 6, so the minor search
+# runs on each: random forms with mixed denominators over several shapes,
+# and two planted forms whose rank drops only at a rational parameter
+# outside the sampled values, (x1 + 9*x2)*(x1 + 10*x2) for xp and
+# (2*x1^2 + 10/3*x1*x2 + x2^2)^2 + (x1^2 + 5*x2^2)^2 for sym.  The digest,
+# recorded before the minors were evaluated on the principal lattice, is
+# of the interval tuples, or the budget error, in sweep order.
+SWEEP_SHAPES = [(2, 2)] * 12 + [(2, 4)] * 14 + [(2, 6)] * 10 + [(3, 2)] * 2 + [(3, 4)]
+SWEEP_DIGEST = "fa2463bc26a06b3aa7ee0be665512420e518f10d40a4bbd5aa7c839d6fd63988"
+
+
+def sweep_forms():
+    for seed, (num_vars, degree) in enumerate(SWEEP_SHAPES):
+        rng = random.Random(seed)
+        density = rng.choice([0.3, 0.6, 1.0])
+        coeffs = {e: Fraction(rng.randint(-9, 9), rng.choice([1, 1, 1, 2, 3, 5, 7]))
+                  for e in monomial_index_set(num_vars, degree) if rng.random() < density}
+        yield poly_from_coeffs(num_vars, coeffs or {(degree,) + (0,) * (num_vars - 1): 1})
+    yield poly_from_coeffs(2, {(2, 0): 1, (1, 1): 19, (0, 2): 90})
+    squares = [[2, Fraction(10, 3), 1], [1, 0, 5]]
+    basis = monomial_index_set(2, 2)
+    coeffs = {}
+    for u in squares:
+        for i, j in itertools.product(range(3), repeat=2):
+            e = tuple(a + b for a, b in zip(basis[i], basis[j]))
+            coeffs[e] = coeffs.get(e, 0) + u[i] * u[j]
+    yield poly_from_coeffs(2, coeffs)
+
+
+def sweep_intervals():
+    builds = {"xp": build_affine_system, "sym": build_sym_system, "psd-pair": build_psd_pair_system}
+    out = []
+    for index, p in enumerate(sweep_forms()):
+        for kind, build in builds.items():
+            cs = build(p)
+            if cs.size * cs.block_count > 6:
+                continue
+            try:
+                iv = minrank_interval(cs)
+            except ValueError as err:
+                out.append((index, kind, str(err)))
+                continue
+            out.append((index, kind, (iv.lower, iv.upper, iv.lower_method, iv.upper_method,
+                                      iv.free_dimension)))
+    return out
+
+
+def test_minor_route_sweep_is_pinned():
+    got = sweep_intervals()
+    intervals = [iv for _, _, iv in got if isinstance(iv, tuple)]
+    assert {kind for _, kind, iv in got if isinstance(iv, tuple)} == {"xp", "sym", "psd-pair"}
+    assert {"constant-minor", "minor-system-no-rational-root"} <= {iv[2] for iv in intervals}
+    assert "minor-root" in {iv[3] for iv in intervals}
+    assert {iv[4] for iv in intervals} >= {1, 3, 6}
+    digest = hashlib.sha256(repr(got).encode()).hexdigest()
+    assert digest == SWEEP_DIGEST
+
+
+def lagrange_at(values, t):
+    # Oracle: the interpolant through (k, values[k]), k = 0..m, at t.
+    total = Fraction(0)
+    for k, v in enumerate(values):
+        term = Fraction(v)
+        for j in range(len(values)):
+            if j != k:
+                term *= Fraction(t - j, k - j)
+        total += term
+    return total
+
+
+def test_newton_coefficients_match_fraction_interpolation():
+    rng = random.Random(41)
+    for m in range(5):
+        for _ in range(20):
+            values = [rng.randint(-50, 50) for _ in range(m + 1)]
+            coeffs = _newton_coefficients(values)
+            assert len(coeffs) == m + 1 and all(isinstance(c, int) for c in coeffs)
+            points = [Fraction(k) for k in range(-2, m + 3)]
+            points.append(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+            for t in points:
+                got = sum(c * t ** k for k, c in enumerate(coeffs))
+                assert got == math.factorial(m) * lagrange_at(values, t)
+    # t(t-1)/2 takes the values 0, 0, 1 and has no integer coefficients.
+    assert _newton_coefficients([0, 0, 1]) == [0, -1, 1]
+
+
+def test_rational_roots_of_integer_polynomials():
+    # (3t - 2)(t + 5)t = 3t^3 + 13t^2 - 10t
+    assert _rational_roots([0, -10, 13, 3]) == [Fraction(-5), Fraction(0), Fraction(2, 3)]
+    assert _rational_roots([1, 0, 1]) == []
+    assert _rational_roots([-2, 0, 0, 9]) == []
