@@ -342,10 +342,11 @@ def minrank_interval(cs: ConstraintSystem, budget: int = 6, seed: int = 0) -> Mi
 
     The upper bound is the smallest rank found by exact sampling of the
     solution space (origin, axis sweeps, a small grid in dimension two,
-    and seeded random points).  Samples are evaluated on integers: the
-    solution is scaled once by L, the lcm of its denominators, each sample
-    by den, the lcm of its own, and the integer blocks are ranked by the
-    shared Bareiss kernel (Bareiss 1968); positive scales keep the rank.
+    and, in dimension two or more, seeded random points).  Samples are
+    evaluated on integers: the solution is scaled once by L, the lcm of
+    its denominators, each sample by den, the lcm of its own, and the
+    integer blocks are ranked by the shared Bareiss kernel (Bareiss 1968);
+    positive scales keep the rank.
 
     The lower bound uses, in order of preference: uniqueness of the
     solution; the inertia of the symmetric part when every nullspace
@@ -402,10 +403,13 @@ def minrank_interval(cs: ConstraintSystem, budget: int = 6, seed: int = 0) -> Mi
             for vb in coarse:
                 if va or vb:
                     consider([va, vb], "grid")
-    rng = random.Random(seed)
-    for _ in range(300):
-        tvec = [rng.choice(values) for _ in range(f)]
-        consider(tvec, "random-sample")
+    if f > 1:
+        # With f = 1 the axis sweep has already ranked every value a
+        # random draw can take.
+        rng = random.Random(seed)
+        for _ in range(300):
+            tvec = [rng.choice(values) for _ in range(f)]
+            consider(tvec, "random-sample")
 
     # Lower bound routes.
     lower = 0

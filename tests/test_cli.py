@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import birank
+from birank import cli
 from birank.cli import canonical_json, main
 from birank.exactla import AffineMatrixPoly, ExactMatrix, affine_to_json
 from birank.polyring import Polynomial, poly_to_json
@@ -468,3 +469,99 @@ def test_golden_stdout_digests(tmp_path, capsys):
         code, out = run(capsys, argv)
         assert code == 0, name
         assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_DIGESTS[name], name
+
+
+def every_subcommand(tmp_path):
+    """The golden commands and one command for each subcommand, kind and
+    mode they leave out; every one exits 0."""
+    golden = golden_commands(tmp_path)
+    quadratic = write_json(
+        tmp_path / "quadratic.json",
+        poly_to_json(Polynomial(2, {(2, 0): 1, (1, 1): Fraction(1, 2), (0, 2): -3})),
+    )
+    vertices = write_json(tmp_path / "vertices.json", {"vertices": [[[2.0, 0.0], [0.0, 1.0]]]})
+    pairs = write_json(
+        tmp_path / "pairs.json",
+        {"vertices": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]]]},
+    )
+    commands = list(golden.values())
+    commands += [["build", "--kind", kind, "--poly", quadratic] for kind in ("xp", "sym", "psd-pair")]
+    commands += [
+        # Every nullspace direction of a binary quadratic's xp system is
+        # skew, so the shared-symmetric-part route runs.
+        ["brank-interval", "--poly", quadratic, "--kind", "xp"],
+        golden["mv-det"] + ["--degrees", "0,2"],
+        ["certify", "--vertices", vertices, "--r", "1"],
+        ["certify", "--pair", "--vertices", pairs, "--r", "1"],
+        ["bounds", "--birank", "16", "--k", "2", "--D", "4"],
+    ]
+    return commands
+
+
+def stdlib_json(obj):
+    # The definition of the canonical text.
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def first_difference(a, b):
+    # Index of the first differing character, or None when equal; pytest's
+    # own diff of two multi-megabyte strings takes minutes.
+    if a == b:
+        return None
+    return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+
+
+def test_canonical_json_matches_stdlib_on_every_subcommand(tmp_path, capsys, monkeypatch):
+    emitted = []
+
+    def recording(obj):
+        emitted.append(obj)
+        return canonical_json(obj)
+
+    monkeypatch.setattr(cli, "canonical_json", recording)
+    indefinite = [[0.0, 0.5], [0.5, 0.0]]
+    rejected = [
+        ["certify", "--vertices", write_json(tmp_path / "rejected.json", {"vertices": [indefinite]}),
+         "--r", "1"],
+        ["certify", "--pair", "--r", "1", "--vertices",
+         write_json(tmp_path / "rejected-pair.json", {"vertices": [[indefinite, indefinite]]})],
+    ]
+    commands = [(argv, 0) for argv in every_subcommand(tmp_path)] + [(argv, 2) for argv in rejected]
+    commands.append((["hessian", "--d", "4"], 0))
+    for argv, want in commands:
+        code, out = run(capsys, argv)
+        assert code == want, argv
+        assert first_difference(out, stdlib_json(emitted[-1])) is None, argv
+        parsed = json.loads(out)
+        assert first_difference(canonical_json(parsed), stdlib_json(parsed)) is None, argv
+        assert first_difference(canonical_json(parsed), out) is None, argv
+    assert len(emitted) == len(commands)
+    assert any(isinstance(v, float) for obj in emitted for v in obj.values())
+
+
+CONTROL = "".join(map(chr, range(32)))
+ADVERSARIAL_SHAPES = [
+    ["[ ] { } , : \" \\", "]\x00[", "\u00e9\u2603\U0001f600", CONTROL],
+    {"]" + CONTROL: [CONTROL, ["]", "["]], "\u2603": {"\x00": "\x00"}},
+    [["]", "\x00"], ["[", CONTROL]],
+    [], {}, [[]], [{}], {"a": []}, {"a": {}}, [[[]]], {"a": {"b": {"c": []}}},
+    [[1, 2], []], [[], [1]], [[1], [], [2, 3]], [[[]], []],
+    [1, [2], {"a": 1}, "s", None], [[1, [2]], [3]], [[1, {}]], {"a": 1, "b": [1]},
+    (1, (2, 3), [(4,), (5, 6)]), {"t": ((1, 2), (3, 4))},
+    [True, False, None, 0, -1, 10 ** 200, -(10 ** 200), 1.5, -0.0, 1e300, 5e-324],
+    {"big": [[10 ** 100, -(10 ** 100)]], "flag": False, "none": None},
+    {1: [1], 2.5: [2], -3: {}}, {True: [1], False: 0}, {None: [None]},
+    "top", "\x00", 7, 2.5, None, True,
+]
+
+
+@pytest.mark.parametrize("obj", ADVERSARIAL_SHAPES)
+def test_canonical_json_matches_stdlib_on_adversarial_shapes(obj):
+    assert canonical_json(obj) == stdlib_json(obj)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_canonical_json_refuses_non_finite_floats(value):
+    for obj in (value, [value], [1, [value]], [[value]], {"a": value}, {"a": value, "b": []}):
+        with pytest.raises(ValueError):
+            canonical_json(obj)

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from birank.exactla import ExactMatrix, rank_exact, solve_linear
+from birank import rankmin
+from birank.exactla import ExactMatrix, rank_exact, rank_integer, solve_linear
 from birank.permhess import perm_zero_point
 from birank.polyring import (
     Polynomial,
@@ -212,6 +213,38 @@ def test_minrank_interval_infeasible():
     )
     with pytest.raises(ValueError):
         minrank_interval(bad)
+
+
+def test_one_parameter_sampling_ranks_each_value_once(monkeypatch):
+    # With f = 1 the origin and the axis sweep rank every value of
+    # _sample_values(); seeded random draws from the same values could
+    # only repeat them, and rank_at is deterministic.
+    p = poly_from_coeffs(2, {(4, 0): 1, (3, 1): Fraction(-1, 2), (2, 2): 3, (1, 3): 2,
+                             (0, 4): Fraction(5, 3)})
+    cs = build_sym_system(p)
+    ranked, rank_calls = [], []
+
+    def recording_ranker(grids, vector_at):
+        rank_at = _sample_ranker(grids, vector_at)
+
+        def record(tvec):
+            ranked.append(tuple(tvec))
+            return rank_at(tvec)
+
+        return record
+
+    def counting_rank(rows):
+        rank_calls.append(len(rows))
+        return rank_integer(rows)
+
+    monkeypatch.setattr(rankmin, "_sample_ranker", recording_ranker)
+    monkeypatch.setattr(rankmin, "rank_integer", counting_rank)
+    iv = minrank_interval(cs)
+    assert (iv.lower, iv.upper, iv.lower_method, iv.upper_method, iv.free_dimension) == (
+        3, 3, "minor-system-no-rational-root", "origin", 1)
+    assert len(ranked) == len(set(ranked))
+    assert sorted(t for (t,) in ranked) == rankmin._sample_values()
+    assert len(rank_calls) == len(ranked) == 87
 
 
 def test_insert_zeros_layout():

@@ -1,5 +1,6 @@
-"""Reach guard: every module-level function of birank runs under some
-subcommand, or is on ALLOWLIST with the reason it stays in the package.
+"""Reach guard: every module-level function and every method of a class
+in birank runs under some subcommand, or is on ALLOWLIST with the reason
+it stays in the package.
 
 One command per subcommand and kind runs through cli.main under
 sys.setprofile, which records the code object of every Python function
@@ -11,12 +12,10 @@ import importlib
 import inspect
 import pkgutil
 import sys
-from fractions import Fraction
 
 import birank
 from birank.cli import main
-from birank.polyring import Polynomial, poly_to_json
-from test_cli import golden_commands, write_json
+from test_cli import every_subcommand
 
 ALLOWLIST = {
     "polyring.perm_poly": "paper primitive: the permanent as a polynomial",
@@ -32,42 +31,49 @@ ALLOWLIST = {
     "certify.check_dual": "dual certificate checker; waits for exact certificates in certify",
     "certify.dual_to_json": "dual certificate writer; waits for exact certificates in certify",
     "certify.dual_from_json": "dual certificate reader; waits for exact certificates in certify",
+    "certify.DualCertificate.bound": "dual certificate value; read by check_dual and dual_to_json",
+    "cli._Parser.error": "runs on bad usage only, which exits 1",
+    "exactla.ExactMatrix.__setattr__": "immutability guard: raises on an assignment no caller makes",
+    "exactla.AffineMatrixPoly.__setattr__": "immutability guard: raises on an assignment no caller makes",
+    "polyring.Polynomial.__setattr__": "immutability guard: raises on an assignment no caller makes",
+    "exactla.ExactMatrix.__repr__": "readable test failures",
+    "polyring.Polynomial.__repr__": "readable test failures",
+    "exactla.ExactMatrix.identity": "tests only: matrix identities in the exactla tests",
+    "exactla.ExactMatrix.__sub__": "tests only: matrix arithmetic for the exactla oracles",
+    "exactla.ExactMatrix.__neg__": "tests only: matrix arithmetic for the exactla oracles",
+    "exactla.ExactMatrix.to_lists": (
+        "tests only; also the ExactMatrix branch of certify.to_float_array, which no subcommand takes"
+    ),
+    "exactla.AffineMatrixPoly.__eq__": "tests only: JSON round trips of representations",
+    "polyring.Polynomial.__eq__": "tests only: compares polynomials with oracle results",
+    "polyring.Polynomial.eval": "tests only: evaluates oracle polynomials",
+    "polyring.Polynomial.zero": "tests only: ring arithmetic for the oracles",
+    "polyring.Polynomial.variable": "tests only: ring arithmetic for the oracles",
+    "polyring.Polynomial.monomial": "tests only: ring arithmetic for the oracles",
+    "polyring.Polynomial._check_same_ring": "tests only: ring arithmetic for the oracles",
+    "polyring.Polynomial.__add__": "tests only: ring arithmetic; perfbench traces it as polyring.add",
+    "polyring.Polynomial.__mul__": "tests only: ring arithmetic; perfbench traces it as polyring.mul",
+    "polyring.Polynomial.__neg__": "tests only: ring arithmetic for the oracles",
+    "polyring.Polynomial.__sub__": "tests only: ring arithmetic for the oracles",
+    "polyring.Polynomial.__rsub__": "tests only: ring arithmetic for the oracles",
 }
 
 
-def reach_commands(tmp_path):
-    golden = golden_commands(tmp_path)
-    quadratic = write_json(
-        tmp_path / "quadratic.json",
-        poly_to_json(Polynomial(2, {(2, 0): 1, (1, 1): Fraction(1, 2), (0, 2): -3})),
-    )
-    vertices = write_json(tmp_path / "vertices.json", {"vertices": [[[2.0, 0.0], [0.0, 1.0]]]})
-    pairs = write_json(
-        tmp_path / "pairs.json",
-        {"vertices": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]]]},
-    )
-    commands = list(golden.values())
-    commands += [["build", "--kind", kind, "--poly", quadratic] for kind in ("xp", "sym", "psd-pair")]
-    commands += [
-        # Every nullspace direction of a binary quadratic's xp system is
-        # skew, so the shared-symmetric-part route runs.
-        ["brank-interval", "--poly", quadratic, "--kind", "xp"],
-        golden["mv-det"] + ["--degrees", "0,2"],
-        ["certify", "--vertices", vertices, "--r", "1"],
-        ["certify", "--pair", "--vertices", pairs, "--r", "1"],
-        ["bounds", "--birank", "16", "--k", "2", "--D", "4"],
-    ]
-    return commands
-
-
-def module_functions():
+def package_functions():
+    """Module-level functions and methods written in birank's modules, by
+    qualified name.  A method alias (__radd__ = __add__) is its target;
+    methods that dataclass and namedtuple generate are left out, since
+    their code lives in other files."""
     for info in pkgutil.iter_modules(birank.__path__):
         if info.name == "__main__":
             continue
         module = importlib.import_module(f"birank.{info.name}")
-        for name, obj in vars(module).items():
-            if inspect.isfunction(obj) and obj.__module__ == module.__name__:
-                yield f"{info.name}.{name}", obj
+        for obj in vars(module).values():
+            own_class = inspect.isclass(obj) and obj.__module__ == module.__name__
+            for member in vars(obj).values() if own_class else [obj]:
+                f = member.fget if isinstance(member, property) else getattr(member, "__func__", member)
+                if inspect.isfunction(f) and f.__code__.co_filename == module.__file__:
+                    yield f"{info.name}.{f.__qualname__}", f
 
 
 def test_every_function_is_reached_or_allowlisted(tmp_path, capsys):
@@ -77,7 +83,7 @@ def test_every_function_is_reached_or_allowlisted(tmp_path, capsys):
         if event == "call":
             reached.add(frame.f_code)
 
-    for argv in reach_commands(tmp_path):
+    for argv in every_subcommand(tmp_path):
         previous = sys.getprofile()
         sys.setprofile(record)
         try:
@@ -86,6 +92,6 @@ def test_every_function_is_reached_or_allowlisted(tmp_path, capsys):
             sys.setprofile(previous)
         assert code == 0, (argv, capsys.readouterr().err)
     capsys.readouterr()
-    functions = dict(module_functions())
+    functions = dict(package_functions())
     unreached = sorted(name for name, f in functions.items() if f.__code__ not in reached)
     assert unreached == sorted(ALLOWLIST)
