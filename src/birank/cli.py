@@ -187,15 +187,16 @@ def cmd_build(args: argparse.Namespace) -> int:
             k = p.degree() // 2
             size = polyring.monomial_count(p.num_vars, max(k, 1))
             if size > 60:
-                raise UsageError(f"basis of {size} monomials is too large to build")
+                raise UsageError(f"basis of {size} monomials is too large to build: the cap is 60")
         cs = _GRAM_BUILDERS[args.kind](p)
     elif args.kind == "z2k":
         if args.d is None or args.k is None:
             raise UsageError("--kind z2k needs --d and --k")
         if args.d < 2 or args.k < 1:
             raise UsageError("z2k needs --d at least 2 and --k at least 1")
-        if args.d > 2 * args.k and math.comb((args.d - 1) ** 2, 2 * args.k) > 200000:
-            raise UsageError("z2k system too large for these parameters")
+        count = math.comb((args.d - 1) ** 2, 2 * args.k) if args.d > 2 * args.k else 0
+        if count > 200000:
+            raise UsageError(f"z2k system of {count} equations is too large: the cap is 200000")
         cs = rankmin.build_z2k(args.d, args.k)
     else:
         raise UsageError(f"unknown build kind {args.kind!r}")
@@ -259,7 +260,7 @@ def cmd_brank_interval(args: argparse.Namespace) -> int:
         raise UsageError("brank-interval needs a nonzero homogeneous form of even degree")
     size = polyring.monomial_count(p.num_vars, p.degree() // 2)
     if size > 20:
-        raise UsageError(f"monomial basis of {size} is too large for the interval search")
+        raise UsageError(f"monomial basis of {size} is too large for the interval search: the cap is 20")
     cs = _GRAM_BUILDERS[kind](p)
     if args.export_cs:
         _emit(rankmin.system_to_json(cs), args.export_cs)

@@ -13,8 +13,8 @@ them exactly to compute sound lower/upper bounds for the minimum rank
 over rational solutions.
 
 Equations store their coefficients entry by entry, never folded into an
-upper triangle, so the documented coefficient sets (for the projected
-system: only 0 and +-1) survive serialization.
+upper triangle, as the ints 1 and -1 (-1 only on the second block of a
+pair), so the JSON writer passes them through unchanged.
 """
 
 from __future__ import annotations
@@ -38,9 +38,10 @@ from birank.polyring import Exponent, Polynomial, fraction_to_json, monomial_ind
 
 @dataclass(frozen=True)
 class LinearEquation:
-    """sum of coef * M_block[i][j] over terms == rhs."""
+    """sum of coef * M_block[i][j] over terms == rhs; every coef is the
+    int 1 or -1."""
 
-    terms: Tuple[Tuple[int, int, int, Fraction], ...]
+    terms: Tuple[Tuple[int, int, int, int], ...]
     rhs: Fraction
 
 
@@ -89,9 +90,9 @@ def _gram_equations(p: Polynomial, k: int, pair: bool):
     for h in monomial_index_set(p.num_vars, 2 * k):
         terms = []
         for i, j in groups.get(h, []):
-            terms.append((0, i, j, Fraction(1)))
+            terms.append((0, i, j, 1))
             if pair:
-                terms.append((1, i, j, Fraction(-1)))
+                terms.append((1, i, j, -1))
         equations.append(LinearEquation(terms=tuple(terms), rhs=p.coefficient(h)))
     return basis, tuple(equations)
 
@@ -163,7 +164,7 @@ def build_z2k(d: int, k: int) -> ConstraintSystem:
     basis = tuple(multilinear_index_set(num_vars, k))
     # Monomials are indexed by their supports, enumerated in the basis order.
     index_of = {s: i for i, s in enumerate(itertools.combinations(range(num_vars), k))}
-    one, minus_one, zero = Fraction(1), Fraction(-1), Fraction(0)
+    one, zero = Fraction(1), Fraction(0)
     equations = []
     for support in itertools.combinations(range(num_vars), 2 * k):
         lefts = list(itertools.combinations(support, k))
@@ -173,8 +174,8 @@ def build_z2k(d: int, k: int) -> ConstraintSystem:
         for left, right in zip(lefts, reversed(lefts)):
             i = index_of[left]
             j = index_of[right]
-            terms.append((0, i, j, one))
-            terms.append((1, i, j, minus_one))
+            terms.append((0, i, j, 1))
+            terms.append((1, i, j, -1))
         # A partial permutation uses distinct rows and distinct columns.
         partial = (len({p // m for p in support}) == 2 * k
                    and len({p % m for p in support}) == 2 * k)
@@ -481,12 +482,6 @@ def minrank_interval(cs: ConstraintSystem, budget: int = 6, seed: int = 0) -> Mi
 # JSON serialization (triplet format).
 
 
-def _coef_to_json(c: Fraction):
-    if c.denominator == 1:
-        return int(c)
-    return f"{c.numerator}/{c.denominator}"
-
-
 def system_to_json(cs: ConstraintSystem) -> dict:
     return {
         "n": cs.size,
@@ -495,12 +490,6 @@ def system_to_json(cs: ConstraintSystem) -> dict:
         "num_vars": cs.num_vars,
         "k": cs.half_degree,
         "scale": fraction_to_json(cs.scale) if cs.scale is not None else None,
-        "basis": [list(b) for b in cs.basis],
-        "eqs": [
-            {
-                "terms": [[b, i, j, _coef_to_json(c)] for b, i, j, c in eq.terms],
-                "rhs": fraction_to_json(eq.rhs),
-            }
-            for eq in cs.equations
-        ],
+        "basis": cs.basis,
+        "eqs": [{"terms": eq.terms, "rhs": fraction_to_json(eq.rhs)} for eq in cs.equations],
     }

@@ -134,11 +134,10 @@ def solve_feasible(cs: ConstraintSystem) -> Tuple[ExactMatrix, ...]:
     return _matrices_from_vector(grids, particular)
 
 
-def _coef_from_json(obj) -> Fraction:
-    if isinstance(obj, int):
-        return Fraction(obj)
-    if isinstance(obj, str):
-        return Fraction(obj)
+def _coef_from_json(obj) -> int:
+    # Every builder writes the coefficients 1 and -1; bool is an int subtype.
+    if type(obj) is int and obj in (1, -1):
+        return obj
     raise ValueError(f"bad coefficient {obj!r}")
 
 

@@ -207,6 +207,27 @@ def test_json_integer_fields_refuse_floats_and_booleans(tmp_path, capsys):
         assert captured.err.count("\n") == 1 and "not an integer" in captured.err
 
 
+def quartic_in(num_vars, tmp_path):
+    exps = tuple([4] + [0] * (num_vars - 1))
+    return write_json(tmp_path / f"quartic{num_vars}.json", poly_to_json(Polynomial(num_vars, {exps: 1})))
+
+
+@pytest.mark.parametrize("argv, size, cap", [
+    # C(49, 4) equations.
+    (lambda tmp: ["build", "--kind", "z2k", "--d", "8", "--k", "2"], "211876", "200000"),
+    # C(12, 2) monomials of degree 2 in 11 variables.
+    (lambda tmp: ["build", "--kind", "xp", "--poly", quartic_in(11, tmp)], "66", "60"),
+    # C(7, 2) monomials of degree 2 in 6 variables.
+    (lambda tmp: ["brank-interval", "--poly", quartic_in(6, tmp)], "21", "20"),
+], ids=["z2k-equations", "build-basis", "interval-basis"])
+def test_size_refusals_name_their_cap(tmp_path, capsys, argv, size, cap):
+    assert main(argv(tmp_path)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert f" {size} " in captured.err and captured.err.rstrip().endswith(f"the cap is {cap}")
+
+
 def test_deeply_nested_json_is_one_line_error(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100000 + "]" * 100000)
@@ -437,6 +458,11 @@ GOLDEN_DIGESTS = {
     "decompose-7x7-k3": "e328efb5fa39b56651419fb9c6475350e8ab1344c1514ed478e8fc22e3025ec0",
     "decompose-7x7-corank4-k2": "d87761accec056794073d6fd5db8012b2e4253e34dc97bac9b121f464ab23050",
     "mv-det-6x6": "ffb2c8efd33db031f6d10d64bb0d1dc09f85aecc4621d6ea6c78e6f5a29e7f2f",
+    "build-xp-quartic": "00d92b61da38c9d0101371cbaa0d7a8d5dca488780084a795a8163001097c0c4",
+    "build-sym-quartic": "84c3b4b26cab23461bb57aa5b1525df2269845653dc40856c74f4aedbaa04014",
+    "build-psd-pair-quartic": "ab449a344f979b65646666225962d934976ce62f85be4ef81051f7580cd050e5",
+    # The file written by --export-cs, not stdout.
+    "interval-psd-pair-export-cs": "ab449a344f979b65646666225962d934976ce62f85be4ef81051f7580cd050e5",
 }
 
 
@@ -461,6 +487,9 @@ def golden_commands(tmp_path):
         # r = 3 = n - 2k: the Laplace route.
         "decompose-7x7-corank4-k2": ["decompose", "--matrix", rep7_corank4, f"--x0={x07}", "--k", "2"],
         "mv-det-6x6": ["mv-det", "--matrix", affine6_file(tmp_path)],
+        "build-xp-quartic": ["build", "--kind", "xp", "--poly", quartic],
+        "build-sym-quartic": ["build", "--kind", "sym", "--poly", quartic],
+        "build-psd-pair-quartic": ["build", "--kind", "psd-pair", "--poly", quartic],
     }
 
 
@@ -469,6 +498,15 @@ def test_golden_stdout_digests(tmp_path, capsys):
         code, out = run(capsys, argv)
         assert code == 0, name
         assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_DIGESTS[name], name
+
+
+def test_golden_export_cs_digest(tmp_path, capsys):
+    export = tmp_path / "cs.json"
+    argv = golden_commands(tmp_path)["interval-psd-pair"] + ["--export-cs", str(export)]
+    code, out = run(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_DIGESTS["interval-psd-pair"]
+    assert hashlib.sha256(export.read_bytes()).hexdigest() == GOLDEN_DIGESTS["interval-psd-pair-export-cs"]
 
 
 def every_subcommand(tmp_path):

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -313,12 +314,38 @@ def test_projection_sandwich_counts():
     assert pc2.multilinear_basis == math.comb(16, 2)
 
 
+def term_types(cs):
+    return [tuple(map(type, t)) for eq in cs.equations for t in eq.terms]
+
+
 def test_system_json_round_trip():
     for cs in (build_affine_system(x1x2()), build_z2k(3, 1)):
         obj = system_to_json(cs)
         assert set(obj) >= {"n", "pair", "eqs"}
         back = system_from_json(obj)
+        # Fraction(1) == 1, so equality alone would not see a changed type.
         assert back == cs
+        assert term_types(back) == term_types(cs)
+
+
+@pytest.mark.parametrize("coef", [1.0, -1.0, True, "1", "-1", 2, 0])
+def test_system_from_json_reads_only_unit_integer_coefficients(coef):
+    obj = system_to_json(build_affine_system(x1x2()))
+    obj["eqs"][0]["terms"] = [[0, 0, 0, coef]]
+    with pytest.raises(ValueError):
+        system_from_json(obj)
+
+
+def test_every_builder_stores_integer_coefficients():
+    quartic = poly_from_coeffs(2, {(4, 0): 1, (3, 1): Fraction(-1, 2), (2, 2): 3, (0, 4): 2})
+    systems = [build(quartic) for build in (build_affine_system, build_sym_system, build_psd_pair_system)]
+    systems.append(build_z2k(5, 2))
+    for cs in systems:
+        for eq in cs.equations:
+            for term in eq.terms:
+                # A type check: Fraction(1) == 1 would pass an equality test.
+                assert type(term[3]) is int and term[3] in (1, -1), term
+        json.dumps(system_to_json(cs))
 
 
 def test_system_json_coefficient_encoding():
