@@ -30,9 +30,13 @@ D variables, and two such forms are equal exactly when their values agree
 on the simplex lattice {e in N^D : |e| = 2k}, which is unisolvent for
 them (Chung and Yao 1977, principal lattices): C(D + 2k - 1, 2k) points,
 495 for D = 9 and k = 2.  The target slice is evaluated there without
-ever being expanded: at a lattice point the linear matrix is numeric, and
-the slice value is a sum of principal minors, each an integer
-determinant.  Verification shares no code with construction.
+ever being expanded: at a lattice point the linear matrix B is numeric,
+and the slice value is a sum of principal minors that share one
+elimination with principal pivots (Sylvester's identity; Bareiss 1968):
+after pivots P, entry (i, j) is det(B[P+i, P+j]), so a subset of the
+optional rows extends its prefix's elimination, and a branch that would
+divide by a vanishing pivot takes its minors one by one.  The pair sum
+packs its own keys; verification shares no code with construction.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from birank.exactla import AffineMatrixPoly, det_integer
+from birank.exactla import AffineMatrixPoly, _bareiss_step, det_integer
 from birank.polyring import (
     Point,
     Polynomial,
@@ -205,48 +209,65 @@ def det_lambda_part(a: AffineMatrixPoly, r: int, m: int) -> List[Fraction]:
     monomial_index_set(D, m), in that order.
 
     The slice is the sum of the principal m-minors of A(x) that contain
-    the first n - r rows.  A is linear, so at a lattice point e the matrix
-    A(e) is numeric: with L the lcm of the denominators of all coefficient
-    matrices, each minor of L*A(e) is an integer determinant, and the sum
-    is divided by L^m once.  The values fix the slice on the simplex
-    lattice (see the module docstring); independent of the clow programs,
-    they are the verification target everywhere.
+    the first n - r rows.  With L the lcm of the denominators of the
+    coefficient matrices, B = L*A(e) is an integer matrix: its parent
+    point's B plus L*A_l, only the level below held.  The minors share one
+    elimination (module docstring), the last two subset levels read with
+    no row update, as the diagonal sum and as 2 x 2 determinants over the
+    last pivot.  The sum is divided by L^m once.  Independent of the clow
+    programs, these values are the verification target everywhere.
     """
     n = a.n
     if not 0 <= r <= n:
         raise ValueError(f"need 0 <= r <= {n}")
     if not a.is_linear():
         raise ValueError("det_lambda_part expects a linear matrix")
-    points = monomial_index_set(a.num_vars, m)
     mandatory = list(range(n - r))
     optional = list(range(n - r, n))
     need = m - len(mandatory)
     if need < 0 or need > len(optional):
-        return [Fraction(0)] * len(points)
-    subsets = [mandatory + list(extra) for extra in itertools.combinations(optional, need)]
+        return [Fraction(0)] * len(monomial_index_set(a.num_vars, m))
     scale = math.lcm(*(v.denominator for c in a.coeffs for row in c.entries for v in row))
-    ints = [
-        [[v.numerator * (scale // v.denominator) for v in row] for row in c.entries]
-        for c in a.coeffs
-    ]
+    ints = [[[v.numerator * scale // v.denominator for v in row] for row in c.entries] for c in a.coeffs]
+
+    def minors(b, w, prev, rows, cands, d):
+        # The sum of det(b[rows + S]) over the d-subsets S of cands, given
+        # w[i][j] = det(b[rows + i, rows + j]) and prev = det(b[rows]).
+        if not prev:
+            subsets = (rows + list(s) for s in itertools.combinations(cands, d))
+            return sum(det_integer([[b[i][j] for j in idx] for i in idx]) for idx in subsets)
+        if d < 2:
+            return sum(w[q][q] for q in cands) if d else prev
+        if d == 2:
+            return sum(w[q][q] * w[s][s] - w[q][s] * w[s][q] for q, s in itertools.combinations(cands, 2)) // prev
+        total = 0
+        for t in range(len(cands) - d + 1):
+            q, rest, child = cands[t], cands[t + 1:], list(w)
+            pivot = _bareiss_step(child, q, q, prev, rest)
+            total += minors(b, child, pivot, rows + [q], rest, d - 1)
+        return total
+
+    def lattice(degree):
+        # B at the points of monomial_index_set(D, degree), in order.
+        if not degree:
+            yield [[0] * n for _ in range(n)]
+            return
+        parents = dict(zip(monomial_index_set(a.num_vars, degree - 1), lattice(degree - 1)))
+        for e in monomial_index_set(a.num_vars, degree):
+            l = next(l for l, x in enumerate(e) if x)
+            parent = parents[e[:l] + (e[l] - 1,) + e[l + 1:]]
+            yield [[x + y for x, y in zip(p, c)] for p, c in zip(parent, ints[l])]
     values = []
-    for e in points:
-        terms = [(w, ints[l]) for l, w in enumerate(e) if w]
-        at_e = [[sum(w * b[i][j] for w, b in terms) for j in range(n)] for i in range(n)]
-        total = sum(det_integer([[at_e[i][j] for j in idx] for i in idx]) for idx in subsets)
-        values.append(Fraction(total, scale ** m))
+    for b in lattice(m):
+        w, prev = list(b), 1
+        for i in mandatory:
+            prev = prev and _bareiss_step(w, i, i, prev, range(i + 1, n))
+        values.append(Fraction(minors(b, w, prev, mandatory, optional, need), scale ** m))
     return values
 
 
 # ---------------------------------------------------------------------------
 # Certified product-sum decompositions.
-
-
-def _integer_terms(p: Polynomial):
-    """The terms of p scaled to integers by the lcm of its denominators,
-    and that lcm."""
-    den = math.lcm(*(c.denominator for c in p.terms.values()))
-    return [(e, c.numerator * (den // c.denominator)) for e, c in p.terms.items()], den
 
 
 def _form_values(p: Polynomial, degree: int) -> List[Fraction]:
@@ -260,11 +281,11 @@ def _form_values(p: Polynomial, degree: int) -> List[Fraction]:
     """
     if not p.is_zero() and (not p.is_homogeneous() or p.degree() != degree):
         raise DecompositionError(f"target is not a form of degree {degree}")
-    terms, den = _integer_terms(p)
+    den = math.lcm(*(c.denominator for c in p.terms.values()))
     groups: Dict[Tuple[int, ...], list] = {}
-    for exps, c in terms:
+    for exps, c in p.terms.items():
         support = tuple(i for i, e in enumerate(exps) if e)
-        groups.setdefault(support, []).append(([(i, exps[i]) for i in support], c))
+        groups.setdefault(support, []).append(([(i, exps[i]) for i in support], c.numerator * den // c.denominator))
     values = []
     for e in monomial_index_set(p.num_vars, degree):
         support = [i for i, w in enumerate(e) if w]
@@ -280,24 +301,31 @@ def _form_values(p: Polynomial, degree: int) -> List[Fraction]:
     return values
 
 
-def _pair_sum(pairs, num_vars: int) -> Polynomial:
-    """sum(f * g) over the pairs, multiplied out on integers: each factor
-    is scaled by its own denominator and every product is brought to the
-    lcm of their denominators, divided out once per term at the end."""
-    scaled = []
-    for f, g in pairs:
-        (f_terms, f_den), (g_terms, g_den) = _integer_terms(f), _integer_terms(g)
-        scaled.append((f_terms, g_terms, f_den * g_den))
-    den = math.lcm(*(d for _, _, d in scaled))
-    acc: Dict[Tuple[int, ...], int] = {}
-    for f_terms, g_terms, d in scaled:
-        lift = den // d
-        for e1, c1 in f_terms:
+def _pair_sum(pairs, num_vars: int, degree: int) -> Polynomial:
+    """sum(f * g) over the pairs on integers and keys sum_l e_l << (w * l)
+    for x^e, w the bit length of degree so that no field carries: factors
+    scaled by their denominators, products lifted to the lcm of those."""
+    width = degree.bit_length()
+
+    def packed(p):
+        den = math.lcm(*(c.denominator for c in p.terms.values()))
+        return den, [
+            (sum(e << (width * l) for l, e in enumerate(exps)), c.numerator * den // c.denominator)
+            for exps, c in p.terms.items()
+        ]
+    scaled = [packed(f) + packed(g) for f, g in pairs]
+    den = math.lcm(*(f_den * g_den for f_den, _, g_den, _ in scaled))
+    acc: Dict[int, int] = {}
+    for f_den, f_terms, g_den, g_terms in scaled:
+        lift = den // (f_den * g_den)
+        for k1, c1 in f_terms:
             c1 *= lift
-            for e2, c2 in g_terms:
-                key = tuple([a + b for a, b in zip(e1, e2)])
+            for k2, c2 in g_terms:
+                key = k1 + k2
                 acc[key] = acc.get(key, 0) + c1 * c2
-    return Polynomial(num_vars, {e: Fraction(c, den) for e, c in acc.items() if c})
+    mask = (1 << width) - 1
+    terms = ((tuple([key >> (width * l) & mask for l in range(num_vars)]), c) for key, c in acc.items() if c)
+    return Polynomial(num_vars, {exps: Fraction(c, den) for exps, c in terms})
 
 
 @dataclass(frozen=True)
@@ -342,7 +370,7 @@ class BiDecomposition:
                         f"factor of degree {factor.degree()} is not homogeneous of degree {half_degree}"
                     )
             kept.append((f, g))
-        total = _pair_sum(kept, num_vars)
+        total = _pair_sum(kept, num_vars, degree)
         if _form_values(total, degree) != expected:
             raise DecompositionError("pairs do not re-multiply to the target")
         return cls(half_degree=half_degree, pairs=tuple(kept), target=total)

@@ -252,6 +252,8 @@ def cmd_mv_det(args: argparse.Namespace) -> int:
 def cmd_brank_interval(args: argparse.Namespace) -> int:
     if not args.poly_path:
         raise UsageError("brank-interval needs --poly FILE")
+    if args.budget < 0:
+        raise UsageError("--budget must be nonnegative")
     p = polyring.poly_from_json(_load_json(args.poly_path))
     kind = args.kind or "xp"
     if kind not in _GRAM_BUILDERS:

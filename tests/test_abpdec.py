@@ -1,9 +1,11 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from birank import abpdec
 from birank.abpdec import (
     BiDecomposition,
     DecompositionError,
@@ -21,6 +23,8 @@ from birank.abpdec import (
 from birank.exactla import (
     AffineMatrixPoly,
     ExactMatrix,
+    affine_from_json,
+    det_integer,
     rank_exact,
     singular_normal_form,
     trailing_ones_matrix,
@@ -49,6 +53,13 @@ from clow_oracle import (
     layer_decomposition,
     layer_widths,
     submatrix,
+)
+from test_cli import rep7_file
+from verify_oracle import (
+    det_lambda_part_by_subsets,
+    lattice_matrices,
+    pair_sum_by_tuples,
+    slice_subsets,
 )
 
 
@@ -423,6 +434,140 @@ def test_det_lambda_part_lattice_values_match_leibniz():
             assert det_lambda_part(a, form.rank, n) == lattice_values(
                 homogeneous_part(shift(det_polynomial(q), x0), n), n
             )
+
+
+def sweep_matrices(rng, n, num_vars):
+    # Linear matrices whose shared elimination meets every branch: dense
+    # integer and rational parts, zero diagonals (the first pivot vanishes
+    # at every pure-power point), sparse entries, a zero first row in the
+    # first coefficient matrix (every mandatory block is singular at
+    # m * u_1), and all-zero coefficient matrices.
+    def integer():
+        return Fraction(rng.randint(-2, 2))
+
+    def rational():
+        return Fraction(rng.randint(-2, 2), rng.choice([1, 2, 3]))
+
+    def sparse():
+        return Fraction(rng.randint(-1, 1)) if rng.random() < 0.4 else Fraction(0)
+
+    def build(entry, zero_diagonal=False, zero_row=False, zero_matrices=0):
+        coeffs = []
+        for l in range(num_vars):
+            rows = [[entry() for _ in range(n)] for _ in range(n)]
+            for i in range(n):
+                if zero_diagonal:
+                    rows[i][i] = Fraction(0)
+                if (zero_row and l == 0 and i == 0) or l >= num_vars - zero_matrices:
+                    rows[i] = [Fraction(0)] * n
+            coeffs.append(ExactMatrix(rows))
+        return AffineMatrixPoly(ExactMatrix.zeros(n, n), coeffs)
+
+    yield "integer", build(integer)
+    yield "rational", build(rational)
+    yield "zero-diagonal", build(rational, zero_diagonal=True)
+    yield "sparse", build(sparse)
+    yield "singular-mandatory", build(integer, zero_row=True)
+    yield "zero-matrix", build(rational, zero_matrices=1)
+    yield "all-zero", build(integer, zero_matrices=num_vars)
+
+
+def test_det_lambda_part_matches_subset_minors(monkeypatch):
+    # Oracle sweep: the shared Sylvester elimination against one
+    # det_integer per principal minor, on every r (0 and n included) and
+    # every slice degree m = 0..n, so m = 2k for k = 1..3 at n = 6.
+    rng = random.Random(1104)
+    fallbacks = []
+    monkeypatch.setattr(abpdec, "det_integer", lambda rows: fallbacks.append(len(rows)) or det_integer(rows))
+    for n in range(1, 7):
+        for num_vars in (1, 3):
+            for kind, a in sweep_matrices(rng, n, num_vars):
+                for r in range(n + 1):
+                    for m in range(n + 1):
+                        got = det_lambda_part(a, r, m)
+                        assert got == det_lambda_part_by_subsets(a, r, m), (kind, n, num_vars, r, m)
+    # The sweep reaches the zero-pivot branches, not only the shared route.
+    assert len(fallbacks) > 100
+
+
+def golden_7x7(tmp_path, rank):
+    # A golden decompose-7x7 representation of test_cli, and its x0.
+    path, x0 = rep7_file(tmp_path, rank=rank)
+    with open(path) as fh:
+        return affine_from_json(json.load(fh)), point(Fraction(v) for v in x0.split(","))
+
+
+def vanishing_prefix_minors(a, r, m):
+    # The (point, minor) pairs the shared elimination cannot reach: some
+    # prefix idx[:t] of the minor's rows, t = 1..max(n - r, len(idx) - 2),
+    # which the elimination would divide by, has a zero determinant.
+    count = 0
+    subsets = slice_subsets(a.n, r, m)
+    for b in lattice_matrices(a, m)[1]:
+        prefix_det = {}
+        for idx in subsets:
+            for t in range(1, max(a.n - r, len(idx) - 2) + 1):
+                key = tuple(idx[:t])
+                if key not in prefix_det:
+                    prefix_det[key] = det_integer([[b[i][j] for j in key] for i in key])
+                if not prefix_det[key]:
+                    count += 1
+                    break
+    return count
+
+
+def test_det_lambda_part_calls_det_integer_only_past_vanishing_pivots(tmp_path, monkeypatch):
+    # Cost guard without timing: det_integer runs at most once per minor
+    # whose pivot prefix vanishes, never per subset.  At r = 6 the
+    # per-subset route made C(6, 3) = 20 calls at each lattice point: 700
+    # on the golden corank-1 7x7 (D = 4), whose prefixes never vanish, and
+    # 9,900 on a sparse integer 7x7 in D = 9, where some do.
+    form = singular_normal_form(*golden_7x7(tmp_path, rank=6))
+    sparse = random_linear_matrix(random.Random(501), 7, 9, density=0.6)
+    inputs = [(form.linear, form.rank), (sparse, 6)]
+    calls = []
+    monkeypatch.setattr(abpdec, "det_integer", lambda rows: calls.append(len(rows)) or det_integer(rows))
+    direct = []
+    for a, r in inputs:
+        assert r == 6
+        calls.clear()
+        got = det_lambda_part(a, r, 4)
+        direct.append(vanishing_prefix_minors(a, r, 4))
+        assert len(calls) <= direct[-1]
+        assert got == det_lambda_part_by_subsets(a, r, 4)
+    assert direct[0] == 0 and direct[1] > 0
+
+
+def test_pair_sum_matches_tuple_keys_on_golden_7x7(tmp_path):
+    # The golden decompose-7x7 commands of test_cli: corank 2 at k = 2 and
+    # k = 3, corank 4 (the Laplace route), and corank 1.
+    for rank, k in ((5, 2), (5, 3), (3, 2), (6, 2)):
+        q, x0 = golden_7x7(tmp_path, rank)
+        dec = decompose_from_representation(q, x0, k).decomposition
+        assert dec.pairs
+        got = abpdec._pair_sum(dec.pairs, q.num_vars, 2 * k)
+        assert got == pair_sum_by_tuples(dec.pairs, q.num_vars) == dec.target, (rank, k)
+
+
+def test_pair_sum_keeps_exponents_at_the_field_limit():
+    # Carry guard: x_l^k * x_l^k = x_l^(2k) fills the bit field of width
+    # (2k).bit_length(), up to its top bit at 2k = 2, 4, 8.  A narrower
+    # field would carry into the next variable's field or, for the last
+    # variable, lose the high bit.
+    for k in range(1, 5):
+        for num_vars in (1, 2, 4):
+            powers = [
+                Polynomial.monomial(num_vars, tuple(k if i == l else 0 for i in range(num_vars)), Fraction(l + 1, 2))
+                for l in range(num_vars)
+            ]
+            total = powers[0]
+            for p in powers[1:]:
+                total = total + p
+            pairs = [(p, p) for p in powers] + [(powers[0], powers[-1]), (total, total)]
+            got = abpdec._pair_sum(pairs, num_vars, 2 * k)
+            assert got == pair_sum_by_tuples(pairs, num_vars), (k, num_vars)
+            for l in range(num_vars):
+                assert tuple(2 * k if i == l else 0 for i in range(num_vars)) in got.terms
 
 
 def test_build_rejects_one_changed_coefficient_at_7x7():

@@ -179,6 +179,19 @@ def test_brank_interval_deterministic_output(tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
+def test_brank_interval_rejects_negative_budget_before_any_work(tmp_path, capsys, monkeypatch):
+    # It used to solve the whole system first, then report that the free
+    # dimension exceeds the budget.
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the system was built")
+
+    monkeypatch.setattr(cli.polyring, "poly_from_json", unreachable)
+    assert main(["brank-interval", "--poly", x1x2_file(tmp_path), "--budget", "-3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "--budget" in captured.err
+
+
 def test_brank_interval_rejects_odd_degree(tmp_path, capsys):
     p = Polynomial(2, {(1, 0): Fraction(1)})
     path = write_json(tmp_path / "odd.json", poly_to_json(p))
