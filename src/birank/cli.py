@@ -154,11 +154,21 @@ def _parse_degrees(text: str) -> Tuple[int, ...]:
 # Subcommand handlers.  Each validates its ranges before any heavy work.
 
 
+# The report costs about 0.2 ms at any d, so its cap is the range the
+# acceptance gate checks d by d.  The matrix has d^4 entries: 679 kB at 10.
+HESSIAN_MAX_D = 1000
+HESSIAN_MATRIX_MAX_D = 10
+
+
 def cmd_hessian(args: argparse.Namespace) -> int:
     if args.d is None or args.d < 2:
         raise UsageError("hessian needs --d at least 2")
-    if args.d > 10:
-        raise UsageError("hessian supports --d up to 10")
+    if args.d > HESSIAN_MAX_D:
+        raise UsageError(f"hessian --d {args.d} is too large: the cap is {HESSIAN_MAX_D}")
+    if args.include_matrix and args.d > HESSIAN_MATRIX_MAX_D:
+        raise UsageError(
+            f"--include-matrix at --d {args.d} is too large: the cap is {HESSIAN_MATRIX_MAX_D}"
+        )
     report = permhess.hessian_report(args.d)
     obj = permhess.report_to_json(report)
     if args.include_matrix:

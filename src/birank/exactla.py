@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from birank.polyring import (
     Point,
@@ -124,24 +124,12 @@ class ExactMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "ExactMatrix":
-        return ExactMatrix([[self.entries[i][j] for j in col_idx] for i in row_idx])
-
     def to_lists(self) -> list:
         return [list(row) for row in self.entries]
 
     def _check_shape(self, other):
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
-
-
-def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """Kronecker product, blocks a[i][j] * b."""
-    rows = []
-    for ra in a.entries:
-        for rb in b.entries:
-            rows.append([va * vb for va in ra for vb in rb])
-    return ExactMatrix(rows)
 
 
 def trailing_ones_matrix(n: int, r: int) -> ExactMatrix:

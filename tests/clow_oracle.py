@@ -22,6 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from birank.abpdec import BiDecomposition, det_lambda_part
 from birank.exactla import AffineMatrixPoly, ExactMatrix, trailing_ones_matrix
 from birank.polyring import Polynomial, split_terms
+import matrix_oracle
 
 ENUMERATION_LIMIT_N = 5
 ENUMERATION_LIMIT_LENGTH = 5
@@ -73,8 +74,8 @@ def entry_poly(a: AffineMatrixPoly, i: int, j: int) -> Polynomial:
 
 def submatrix(a: AffineMatrixPoly, row_idx, col_idx) -> AffineMatrixPoly:
     return AffineMatrixPoly(
-        a.const.submatrix(row_idx, col_idx),
-        [c.submatrix(row_idx, col_idx) for c in a.coeffs],
+        matrix_oracle.submatrix(a.const, row_idx, col_idx),
+        [matrix_oracle.submatrix(c, row_idx, col_idx) for c in a.coeffs],
     )
 
 

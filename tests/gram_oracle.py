@@ -29,6 +29,7 @@ from birank.rankmin import (
     _matrices_from_vector,
     build_z2k,
 )
+from matrix_oracle import submatrix
 
 
 def insert_zeros(exps: Exponent, d: int) -> Exponent:
@@ -56,7 +57,7 @@ def project_pair_to_z2k(plus: ExactMatrix, minus: ExactMatrix, d: int, k: int):
     for m in (plus, minus):
         if m.rows != len(full_basis) or m.cols != len(full_basis):
             raise ValueError("matrix is not indexed by the full degree-k basis")
-        out.append(m.submatrix(rows, rows).scale(z.scale))
+        out.append(submatrix(m, rows, rows).scale(z.scale))
     return out[0], out[1]
 
 

@@ -6,13 +6,16 @@ them at a point; `hessian_perm_fast` reads each entry of the permanent's
 Hessian at `perm_zero_point(d)` as a permanental minor, by Ryser's
 inclusion-exclusion (`permanent_exact`), exponential in d.
 `differentiate` is the partial derivative the tests differentiate twice
-with.
+with.  `signature_by_elimination` is the full route to the Hessian's
+inertia, one Bareiss elimination of the d^2 x d^2 `hessian_blocks(d)`;
+the block route of `hessian_report` is checked against it.
 """
 
+import functools
 from fractions import Fraction
 
-from birank.exactla import ExactMatrix
-from birank.permhess import perm_zero_point
+from birank.exactla import ExactMatrix, Signature, signature_exact
+from birank.permhess import hessian_blocks, perm_zero_point
 from birank.polyring import Point, Polynomial, point
 
 
@@ -110,3 +113,11 @@ def hessian_perm_fast(d: int) -> ExactMatrix:
                         continue
                     h[i * d + j][ip * d + jp] = minor_perm(i, ip, j, jp)
     return ExactMatrix(h)
+
+
+@functools.lru_cache(maxsize=None)
+def signature_by_elimination(d: int) -> Signature:
+    """Inertia of the full Hessian at perm_zero_point(d) by one Bareiss
+    elimination.  Cached: the tests and the acceptance gate both sweep it
+    up to d = 16, where one elimination takes seconds."""
+    return signature_exact(hessian_blocks(d))

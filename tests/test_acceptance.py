@@ -34,7 +34,7 @@ from birank.exactla import (
     rank_exact,
     signature_exact,
 )
-from birank.permhess import hessian_blocks, hollow_ones, perm_zero_point
+from birank.permhess import hessian_blocks, hessian_report, hollow_ones, perm_zero_point
 from birank.polyring import (
     Polynomial,
     homogeneous_part,
@@ -49,7 +49,7 @@ from birank.rankmin import (
 )
 from clow_oracle import clow_sum_bruteforce, det_polynomial, from_entry_polys
 from gram_oracle import check_solution, project_pair_to_z2k
-from perm_oracle import hessian, hessian_perm_fast
+from perm_oracle import hessian, hessian_perm_fast, signature_by_elimination
 
 
 def report(ok: bool, name: str) -> None:
@@ -292,3 +292,13 @@ def test_criterion_12_rank_vs_mu():
             cert = certify_minrank([y], r, tol=1e-9)
             ok = ok and cert.accepted == (r < rho)
     report(ok, "certify_minrank accepts exactly r below the Gram rank, 50 matrices")
+
+
+def test_criterion_13_hessian_inertia_by_blocks():
+    ok = True
+    for d in range(2, 1001):
+        rep = hessian_report(d)
+        ok = ok and rep.rank == d * d and rep.signature.n_minus == rep.new_bound == (d - 1) ** 2 + 1
+        if d <= 16:
+            ok = ok and rep.signature == signature_by_elimination(d)
+    report(ok, "hessian inertia bound is (d-1)^2+1 by isotypic blocks for d=2..1000; full elimination agrees for d<=16")

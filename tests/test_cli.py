@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -73,6 +74,19 @@ def test_hessian_report(capsys):
 def test_hessian_rejects_small_d(capsys):
     assert main(["hessian", "--d", "1"]) == 1
     assert main(["hessian", "--d", "0"]) == 1
+
+
+def test_hessian_at_its_cap_takes_under_a_second(capsys):
+    # The report reads its inertia from four fixed-size blocks, so its cost
+    # does not grow with d.
+    start = time.perf_counter()
+    code, out = run(capsys, ["hessian", "--d", "1000"])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["rank"] == 10 ** 6
+    assert obj["signature"] == [1998, 998002, 0]
+    assert elapsed < 1.0
 
 
 def test_build_xp(tmp_path, capsys):
@@ -232,7 +246,10 @@ def quartic_in(num_vars, tmp_path):
     (lambda tmp: ["build", "--kind", "xp", "--poly", quartic_in(11, tmp)], "66", "60"),
     # C(7, 2) monomials of degree 2 in 6 variables.
     (lambda tmp: ["brank-interval", "--poly", quartic_in(6, tmp)], "21", "20"),
-], ids=["z2k-equations", "build-basis", "interval-basis"])
+    (lambda tmp: ["hessian", "--d", "1001"], "1001", "1000"),
+    # The report alone is accepted at d = 11; the d^4 matrix is not.
+    (lambda tmp: ["hessian", "--d", "11", "--include-matrix"], "11", "10"),
+], ids=["z2k-equations", "build-basis", "interval-basis", "hessian-d", "hessian-matrix-d"])
 def test_size_refusals_name_their_cap(tmp_path, capsys, argv, size, cap):
     assert main(argv(tmp_path)) == 1
     captured = capsys.readouterr()
@@ -459,6 +476,15 @@ def binary_quartic_file(tmp_path):
 
 
 GOLDEN_DIGESTS = {
+    "hessian-d2": "ec1021919e435a6138ee1ff146eec626a0aece8c5cc8035596c1f35c72c55191",
+    "hessian-d3": "d4dd2b5bb638a87983b62bfb44d0d8fdda5ea41cf70b539a98de9dda1611b1fd",
+    "hessian-d4": "d58cbc54eb65b2cec489fdf330fc1a084a9e0a024a5af5deb1bc1f3fdac6fdb4",
+    "hessian-d5": "6b3370364a26fdff7c53f17da624b9efcbab3aab6fecbc97fd001781d087acc0",
+    "hessian-d6": "57ad8576853344dee552e5154db28c513ffc831bcebd8595d87ef6e64a7334d5",
+    "hessian-d7": "4e0632605ab3ba76c0b7ff0640d2195c49da9c8af49c894cf90035f03ef58b41",
+    "hessian-d8": "a51ae87512f7579049e3156211929e52a283c4231a5a1826ab2e797d007f5cc3",
+    "hessian-d9": "e38f6a9318f29f52251784c0f4e102a97b141e86f8f3bce8b2113f3522c518bc",
+    "hessian-d10": "c89239cdd90f8f8acf57815c4a7d4ab942ad03d9a86d3b9605e3ce094590c617",
     "hessian-d5-matrix": "f03c55dcfc81916e16fc3045c906c5a60969d8ce6149de94835121edcebeee9a",
     "decompose-k1": "e6dd0544399d34ea53b35369d09d746fb1e83392afe6abc5f39186f8acd77335",
     "decompose-k2": "b605c2239b9bd5a14fbc17b6573afdf52cc7730aa6063d95e22f9a9cca509ce7",
@@ -486,6 +512,7 @@ def golden_commands(tmp_path):
     quartic = binary_quartic_file(tmp_path)
     return {
         "hessian-d5-matrix": ["hessian", "--d", "5", "--include-matrix"],
+        **{f"hessian-d{d}": ["hessian", "--d", str(d)] for d in range(2, 11)},
         "decompose-k1": ["decompose", "--matrix", rep, f"--x0={x0}", "--k", "1"],
         "decompose-k2": ["decompose", "--matrix", rep, f"--x0={x0}", "--k", "2"],
         "decompose-7x7-k2": ["decompose", "--matrix", rep7, f"--x0={x07}", "--k", "2"],

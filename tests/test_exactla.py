@@ -13,7 +13,6 @@ from birank.exactla import (
     affine_to_json,
     det_exact,
     inverse_exact,
-    kron,
     matrix_from_json,
     matrix_to_json,
     rank_exact,
@@ -26,6 +25,7 @@ from birank.exactla import (
 from birank import exactla
 from birank.polyring import Polynomial, homogeneous_part, point, shift
 from clow_oracle import add_constant, det_polynomial, entry_poly, from_entry_polys
+from matrix_oracle import kron
 
 
 def random_matrix(rng, rows, cols, span=4):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -7,7 +8,6 @@ import pytest
 from birank.exactla import (
     ExactMatrix,
     Signature,
-    kron,
     rank_exact,
     signature_exact,
 )
@@ -16,13 +16,21 @@ from birank.permhess import (
     hessian_blocks,
     hessian_report,
     hollow_ones,
+    isotypic_blocks,
     last_row_block,
     perm_zero_point,
     report_to_json,
     row_pair_block,
 )
 from birank.polyring import Polynomial, perm_poly, point
-from perm_oracle import differentiate, hessian, hessian_perm_fast, permanent_exact
+from matrix_oracle import kron
+from perm_oracle import (
+    differentiate,
+    hessian,
+    hessian_perm_fast,
+    permanent_exact,
+    signature_by_elimination,
+)
 
 
 def hessian_by_differentiation(p, x0):
@@ -141,8 +149,7 @@ def test_hessian_report_small_d():
         assert rep.mr_bound == Fraction(d * d, 2)
         assert rep.new_bound == max(rep.signature.n_plus, rep.signature.n_minus)
         assert rep.new_bound >= rep.mr_bound
-        if d >= 3:
-            assert rep.block_identity == "row_pair"
+        assert rep.block_identity == ("row_pair" if d >= 3 else None)
         obj = report_to_json(rep)
         assert obj["d"] == d
         assert obj["signature"] == [rep.signature.n_plus, rep.signature.n_minus, 0]
@@ -150,12 +157,70 @@ def test_hessian_report_small_d():
 
 def test_hessian_report_checks_the_theorem(monkeypatch):
     # Full rank, but an inertia whose bound is not (d-1)^2 + 1: the report
-    # must refuse it rather than print a wrong bound.
+    # must refuse it rather than print a wrong bound.  The trivial-type
+    # block reads (1, 3, 0) instead of (2, 2, 0), so at d = 4 the total is
+    # (5, 11, 0).
     import birank.permhess as permhess
 
-    monkeypatch.setattr(permhess, "signature_exact", lambda h: Signature(7, 9, 0))
-    with pytest.raises(ArithmeticError, match="inertia bound 9, expected 10"):
+    def wrong_block_inertia(block):
+        return Signature(1, 3, 0) if block.rows == 4 else signature_exact(block)
+
+    monkeypatch.setattr(permhess, "signature_exact", wrong_block_inertia)
+    with pytest.raises(ArithmeticError, match="inertia bound 11, expected 10"):
         hessian_report(4)
+
+
+def test_block_route_matches_full_elimination():
+    for d in range(2, 17):
+        assert hessian_report(d).signature == signature_by_elimination(d), d
+
+
+def isotypic_vectors(d):
+    """One vector per copy of each irreducible type of S_{d-1} x S_{d-1},
+    as {variable index: coefficient}, in the order of isotypic_blocks."""
+    m = d - 1
+
+    def x(a, i):
+        return a * d + i
+
+    def diff(pos, neg):
+        return {**{p: 1 for p in pos}, **{q: -1 for q in neg}}
+
+    early = range(m)
+    trivial = [
+        {x(a, i): 1 for a in early for i in early},
+        {x(m, i): 1 for i in early},
+        {x(a, m): 1 for a in early},
+        {x(m, m): 1},
+    ]
+    rows_standard = [diff([x(0, i) for i in early], [x(1, i) for i in early]), diff([x(0, m)], [x(1, m)])]
+    cols_standard = [diff([x(i, 0) for i in early], [x(i, 1) for i in early]), diff([x(m, 0)], [x(m, 1)])]
+    both_standard = [diff([x(0, 0), x(1, 1)], [x(0, 1), x(1, 0)])]
+    return [trivial, rows_standard, cols_standard, both_standard]
+
+
+def test_isotypic_blocks_are_projections_of_the_hessian():
+    # Each closed-form block is U^T M U, M = H/(d-3)!, for its vectors U;
+    # vectors of different types are H-orthogonal; and the blocks times
+    # their multiplicities fill all d^2 dimensions.
+    for d in range(3, 21):
+        entries = hessian_blocks(d).entries
+        assert all(v.denominator == 1 for row in entries for v in row)
+        h = [[v.numerator for v in row] for row in entries]
+
+        def form(u, v):
+            return sum(cu * cv * h[p][q] for p, cu in u.items() for q, cv in v.items())
+
+        types = isotypic_vectors(d)
+        blocks = isotypic_blocks(d)
+        assert len(blocks) == len(types)
+        for (block, _), us in zip(blocks, types):
+            projected = ExactMatrix([[form(u, v) for v in us] for u in us])
+            assert block.scale(math.factorial(d - 3)) == projected, d
+        for s, t in itertools.combinations(range(len(types)), 2):
+            assert all(form(u, v) == 0 for u in types[s] for v in types[t]), (d, s, t)
+        assert sum(block.rows * k for block, k in blocks) == d * d
+    assert isotypic_blocks(2) == [(hessian_blocks(2), 1)]
 
 
 def test_report_bound_strictly_improves_for_d3():
