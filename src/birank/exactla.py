@@ -1,14 +1,14 @@
-"""Exact rational matrices: ranks, determinants, solutions, signatures,
+"""Exact rational matrices: ranks, determinants, inverses, signatures,
 and affine normal forms.
 
 Matrices are immutable tuples of Fraction rows.  Every elimination runs
 on integers: denominators are cleared once per matrix, and one
 fraction-free (Bareiss) step, whose divisions are exact, serves every
 result.  Forward elimination gives the rank and the determinant;
-clearing above the pivots too gives solutions and inverses; diagonal
-pivots give the inertia of a symmetric matrix, with an all-zero trailing
-diagonal repaired by adding one row and column to another.  No floating
-point anywhere.
+clearing above the pivots too gives inverses; diagonal pivots give the
+inertia of a symmetric matrix, with an all-zero trailing diagonal
+repaired by adding one row and column to another.  No floating point
+anywhere.
 
 The module also hosts matrices whose entries are affine polynomials in
 x1..xD (AffineMatrixPoly) and the normal form used to turn a
@@ -308,38 +308,6 @@ def signature_lower_bound(q: ExactMatrix) -> int:
         raise ValueError("needs a square matrix")
     sig = signature_exact(q + q.transpose())
     return max(sig.n_plus, sig.n_minus)
-
-
-def solve_linear(rows, rhs):
-    """Solve rows * x = rhs over the rationals.
-
-    Returns (particular, nullspace_basis) with free variables set to zero,
-    or None when inconsistent.  Fraction-free Gauss-Jordan on [rows | rhs].
-    """
-    m = len(rows)
-    if m != len(rhs):
-        raise ValueError("right-hand side length mismatch")
-    ncols = len(rows[0]) if m else 0
-    work, _ = _integer_rows(
-        [[as_fraction(v) for v in row] + [as_fraction(rhs[i])] for i, row in enumerate(rows)]
-    )
-    pivots, _, last = _eliminate(work, ncols, jordan=True)
-    if any(row[ncols] for row in work[len(pivots):]):
-        return None
-    particular = [Fraction(0)] * ncols
-    for row, col in zip(work, pivots):
-        particular[col] = Fraction(row[ncols], last)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for row, col in zip(work, pivots):
-            vec[col] = Fraction(-row[free], last)
-        basis.append(vec)
-    return particular, basis
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,11 @@ equation per degree-2k monomial: the entries of Q along each anti-chain
 of a solution is the bi-polynomial rank of p; the minimum over symmetric
 solutions and over differences of two PSD matrices sandwich it.  This
 module builds those systems explicitly (including a projected multilinear
-variant tied to the shifted permanent), writes them as JSON, and solves
-them exactly to compute sound lower/upper bounds for the minimum rank
-over rational solutions.
+variant tied to the shifted permanent), writes them as JSON, and computes
+sound lower/upper bounds for the minimum rank over rational solutions.
+Each unknown enters only the equation of its anti-chain, so the solution
+set is read off the equations in closed form, with no elimination; a
+hand-built system that puts an unknown in two equations is refused.
 
 Equations store their coefficients entry by entry, never folded into an
 upper triangle, as the ints 1 and -1 (-1 only on the second block of a
@@ -26,13 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from birank.exactla import (
-    ExactMatrix,
-    det_integer,
-    rank_integer,
-    signature_lower_bound,
-    solve_linear,
-)
+from birank.exactla import ExactMatrix, det_integer, rank_integer, signature_lower_bound
 from birank.polyring import Exponent, Polynomial, fraction_to_json, monomial_index_set
 
 
@@ -188,7 +184,7 @@ def build_z2k(d: int, k: int) -> ConstraintSystem:
 
 
 # ---------------------------------------------------------------------------
-# The solution space as a linear system.
+# The solution space in closed form.
 
 
 def _variable_layout(cs: ConstraintSystem):
@@ -214,17 +210,47 @@ def _matrices_from_vector(grids, vec) -> Tuple[ExactMatrix, ...]:
     return tuple(ExactMatrix([[vec[c] for c in row] for row in grid]) for grid in grids)
 
 
-def _linear_system(cs: ConstraintSystem):
+def _gram_chains(cs: ConstraintSystem):
+    """The layout's grids and unknown count, and (chain, rhs) for each
+    equation with a nonzero coefficient: its chain is its (column, summed
+    coefficient) nonzeros in column order.  The chains must be disjoint,
+    as every builder's are (entry (i, j) lies on one anti-chain only): an
+    unknown in two equations raises ValueError, as does an empty equation
+    with a nonzero rhs (infeasible)."""
     grids, count = _variable_layout(cs)
-    rows = []
-    rhs = []
+    chains = []
     for eq in cs.equations:
-        row = [Fraction(0)] * count
+        coefs: Dict[int, int] = {}
         for block, i, j, coef in eq.terms:
-            row[grids[block][i][j]] += coef
-        rows.append(row)
-        rhs.append(eq.rhs)
-    return grids, rows, rhs
+            c = grids[block][i][j]
+            coefs[c] = coefs.get(c, 0) + coef
+        chain = sorted((c, v) for c, v in coefs.items() if v)
+        if not chain:
+            if eq.rhs:
+                raise ValueError("constraint system is infeasible")
+            continue
+        chains.append((chain, eq.rhs))
+    columns = [c for chain, _ in chains for c, _ in chain]
+    if len(set(columns)) < len(columns):
+        raise ValueError("an unknown appears in two equations; the anti-chains must be disjoint")
+    return grids, count, chains
+
+
+def _chain_solution(count, chains):
+    """(particular, directions) of disjoint chains, as Gauss-Jordan
+    returns them: a chain's lowest column p is its pivot, particular[p] =
+    rhs / coef_p, each other column c gives the direction e_c - (coef_c /
+    coef_p) e_p, and a column in no chain gives e_c.  The directions come
+    in free-column order, each as its (column, Fraction) nonzeros."""
+    one = Fraction(1)
+    particular = [Fraction(0)] * count
+    directions = {c: [(c, one)] for c in range(count)}
+    for ((pivot, coef), *rest), rhs in chains:
+        particular[pivot] = Fraction(rhs, coef)
+        del directions[pivot]
+        for c, v in rest:
+            directions[c] = [(pivot, Fraction(-v, coef)), (c, one)]
+    return particular, list(directions.values())
 
 
 # ---------------------------------------------------------------------------
@@ -248,23 +274,20 @@ def _sample_values():
     return sorted(values)
 
 
-def _integer_solution(particular, basis_vecs):
+def _integer_solution(particular, directions):
     """vector_at(den, factors): the integer vector den*L*particular +
-    sum_l factors[l]*(L*basis_vecs[l]), for L the lcm of all the
-    denominators of particular and the nullspace vectors.
+    sum_l factors[l]*(L*directions[l]), for L the lcm of all the
+    denominators of particular and the nullspace directions, each given
+    as its (column, Fraction) nonzeros.
 
-    Each direction keeps only its (column, integer) nonzeros.  For a
-    parameter t with den the lcm of its denominators and factors[l] =
-    t_l*den, this is den*L times the solution particular + sum_l t_l *
-    basis_vecs[l]: a positive multiple, so its blocks have the same ranks
+    For a parameter t with den the lcm of its denominators and factors[l]
+    = t_l*den, this is den*L times the solution particular + sum_l t_l *
+    directions[l]: a positive multiple, so its blocks have the same ranks
     and its m-minors are (den*L)^m times the rational ones.
     """
-    scale = math.lcm(*(v.denominator for vec in (particular, *basis_vecs) for v in vec))
+    scale = math.lcm(*(v.denominator for v in particular), *(v.denominator for d in directions for _, v in d))
     base = [v.numerator * (scale // v.denominator) for v in particular]
-    directions = [
-        [(c, v.numerator * (scale // v.denominator)) for c, v in enumerate(vec) if v]
-        for vec in basis_vecs
-    ]
+    directions = [[(c, v.numerator * (scale // v.denominator)) for c, v in d] for d in directions]
 
     def vector_at(den, factors) -> list:
         vec = [den * v for v in base]
@@ -336,10 +359,23 @@ def _rational_roots(coeffs) -> list:
     return sorted(roots)
 
 
+def _skew_directions(grid, directions) -> bool:
+    """Whether every direction of an unshared one-block system is skew:
+    e_c - r e_p is exactly when its chain is a transposed pair {(i, j),
+    (j, i)} with equal coefficients (r = 1); a lone e_c never is."""
+    mirror = {c: grid[j][i] for i, row in enumerate(grid) for j, c in enumerate(row)}
+    return all(len(d) == 2 and d[0] == (mirror[d[1][0]], -1) for d in directions)
+
+
 def minrank_interval(cs: ConstraintSystem, budget: int = 6, seed: int = 0) -> MinrankInterval:
     """Sound interval [lower, upper] for the minimum rank over rational
     solutions of the system (for pair systems, the minimum of the summed
     block ranks; PSD constraints are not imposed here).
+
+    The solution set is read off the anti-chains in closed form.  Raises
+    ValueError when they are not disjoint, when the system is infeasible,
+    or when the free dimension (unknowns minus nonempty chains) exceeds
+    budget, which is checked before any direction is built.
 
     The upper bound is the smallest rank found by exact sampling of the
     solution space (origin, axis sweeps, a small grid in dimension two,
@@ -351,11 +387,11 @@ def minrank_interval(cs: ConstraintSystem, budget: int = 6, seed: int = 0) -> Mi
 
     The lower bound uses, in order of preference: uniqueness of the
     solution; the inertia of the symmetric part when every nullspace
-    direction is skew-symmetric (then all solutions share one symmetric
-    part, whose max inertia bounds every rank); a constant nonzero minor of
-    the parametrized solution (which survives every parameter choice); and,
-    with one free parameter, minor systems with no rational root.  Raises
-    on an infeasible system or when the free dimension exceeds budget.
+    direction is skew-symmetric, read off the chains (then all solutions
+    share one symmetric part, whose max inertia bounds every rank); a
+    constant nonzero minor of the parametrized solution (which survives
+    every parameter choice); and, with one free parameter, minor systems
+    with no rational root.
 
     Minors (m = 2, 3, when the blocks total at most 6 rows) are taken on
     the same integer solution, at the C(f+m, m) points of the principal
@@ -366,16 +402,13 @@ def minrank_interval(cs: ConstraintSystem, budget: int = 6, seed: int = 0) -> Mi
     differences, the integer coefficients of m! * L^m times the minor,
     whose primitive part is searched for rational roots.
     """
-    grids, rows, rhs = _linear_system(cs)
-    solved = solve_linear(rows, rhs)
-    if solved is None:
-        raise ValueError("constraint system is infeasible")
-    particular, basis_vecs = solved
-    f = len(basis_vecs)
+    grids, count, chains = _gram_chains(cs)
+    f = count - len(chains)
     if f > budget:
         raise ValueError(f"free dimension {f} exceeds budget {budget}")
+    particular, directions = _chain_solution(count, chains)
 
-    vector_at = _integer_solution(particular, basis_vecs)
+    vector_at = _integer_solution(particular, directions)
     rank_at = _sample_ranker(grids, vector_at)
     upper = rank_at([Fraction(0)] * f)
     upper_method = "origin"
@@ -418,14 +451,12 @@ def minrank_interval(cs: ConstraintSystem, budget: int = 6, seed: int = 0) -> Mi
     if any(eq.rhs for eq in cs.equations):
         lower, lower_method = 1, "nonzero-form"
 
-    if not cs.symmetric and not cs.pair:
-        null_mats = [_matrices_from_vector(grids, vec)[0] for vec in basis_vecs]
-        if all(n + n.transpose() == ExactMatrix.zeros(cs.size, cs.size) for n in null_mats):
-            # Every solution then shares one symmetric part, so its max
-            # inertia bounds the rank of every solution.
-            cand = signature_lower_bound(_matrices_from_vector(grids, particular)[0])
-            if cand > lower:
-                lower, lower_method = cand, "shared-symmetric-part-inertia"
+    if not cs.symmetric and not cs.pair and _skew_directions(grids[0], directions):
+        # Every solution then shares one symmetric part, so its max
+        # inertia bounds the rank of every solution.
+        cand = signature_lower_bound(_matrices_from_vector(grids, particular)[0])
+        if cand > lower:
+            lower, lower_method = cand, "shared-symmetric-part-inertia"
 
     total_size = cs.size * cs.block_count
     if total_size <= 6:

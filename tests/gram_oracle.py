@@ -1,10 +1,13 @@
-"""Gram-solution checks, exact feasible solutions, the z2k projection and
+"""Gram-solution checks, the dense Gram solver, the z2k projection and
 the constraint-system reader: test oracles for `birank.rankmin`.
 
 `gram_expand` multiplies a candidate solution back out and
 `check_solution` evaluates the equations at it; the tests require the
 two to agree, and use them to check `solve_feasible`, the z2k projection
-of the permanent Hessian and the sampled intervals.  `system_from_json`
+of the permanent Hessian and the sampled intervals.  `_linear_system`
+writes a system as dense Fraction rows and `solve_linear` runs
+fraction-free Gauss-Jordan on them; the tests require the closed-form
+chain solution of `minrank_interval` to equal theirs.  `system_from_json`
 reads the triplet layout that `system_to_json` writes, for the round-trip
 test; no subcommand reads a system back.
 """
@@ -14,10 +17,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Tuple
 
-from birank.exactla import ExactMatrix, solve_linear
+from birank.exactla import ExactMatrix, _eliminate, _integer_rows
 from birank.polyring import (
     Exponent,
     Polynomial,
+    as_fraction,
     fraction_from_json,
     monomial_count,
     monomial_index_set,
@@ -25,8 +29,8 @@ from birank.polyring import (
 from birank.rankmin import (
     ConstraintSystem,
     LinearEquation,
-    _linear_system,
     _matrices_from_vector,
+    _variable_layout,
     build_z2k,
 )
 from matrix_oracle import submatrix
@@ -122,6 +126,51 @@ def check_solution(cs: ConstraintSystem, matrices) -> bool:
         if total != eq.rhs:
             return False
     return True
+
+
+def _linear_system(cs: ConstraintSystem):
+    grids, count = _variable_layout(cs)
+    rows = []
+    rhs = []
+    for eq in cs.equations:
+        row = [Fraction(0)] * count
+        for block, i, j, coef in eq.terms:
+            row[grids[block][i][j]] += coef
+        rows.append(row)
+        rhs.append(eq.rhs)
+    return grids, rows, rhs
+
+
+def solve_linear(rows, rhs):
+    """Solve rows * x = rhs over the rationals.
+
+    Returns (particular, nullspace_basis) with free variables set to zero,
+    or None when inconsistent.  Fraction-free Gauss-Jordan on [rows | rhs].
+    """
+    m = len(rows)
+    if m != len(rhs):
+        raise ValueError("right-hand side length mismatch")
+    ncols = len(rows[0]) if m else 0
+    work, _ = _integer_rows(
+        [[as_fraction(v) for v in row] + [as_fraction(rhs[i])] for i, row in enumerate(rows)]
+    )
+    pivots, _, last = _eliminate(work, ncols, jordan=True)
+    if any(row[ncols] for row in work[len(pivots):]):
+        return None
+    particular = [Fraction(0)] * ncols
+    for row, col in zip(work, pivots):
+        particular[col] = Fraction(row[ncols], last)
+    pivot_set = set(pivots)
+    basis = []
+    for free in range(ncols):
+        if free in pivot_set:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for row, col in zip(work, pivots):
+            vec[col] = Fraction(-row[free], last)
+        basis.append(vec)
+    return particular, basis
 
 
 def solve_feasible(cs: ConstraintSystem) -> Tuple[ExactMatrix, ...]:

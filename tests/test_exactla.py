@@ -19,12 +19,12 @@ from birank.exactla import (
     signature_exact,
     signature_lower_bound,
     singular_normal_form,
-    solve_linear,
     trailing_ones_matrix,
 )
 from birank import exactla
 from birank.polyring import Polynomial, homogeneous_part, point, shift
 from clow_oracle import add_constant, det_polynomial, entry_poly, from_entry_polys
+from gram_oracle import solve_linear
 from matrix_oracle import kron
 
 

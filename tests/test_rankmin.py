@@ -3,12 +3,13 @@ import itertools
 import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from birank import rankmin
-from birank.exactla import ExactMatrix, rank_exact, rank_integer, solve_linear
+from birank.exactla import ExactMatrix, rank_exact, rank_integer
 from birank.permhess import perm_zero_point
 from birank.polyring import (
     Polynomial,
@@ -22,12 +23,14 @@ from birank.polyring import (
 from birank.rankmin import (
     ConstraintSystem,
     LinearEquation,
+    _chain_solution,
+    _gram_chains,
     _integer_solution,
-    _linear_system,
     _matrices_from_vector,
     _newton_coefficients,
     _rational_roots,
     _sample_ranker,
+    _skew_directions,
     build_affine_system,
     build_psd_pair_system,
     build_sym_system,
@@ -37,12 +40,14 @@ from birank.rankmin import (
     system_to_json,
 )
 from gram_oracle import (
+    _linear_system,
     check_solution,
     gram_expand,
     insert_zeros,
     project_pair_to_z2k,
     projection_sandwich,
     solve_feasible,
+    solve_linear,
     system_from_json,
 )
 from perm_oracle import hessian_perm_fast
@@ -216,6 +221,107 @@ def test_minrank_interval_infeasible():
         minrank_interval(bad)
 
 
+def hand_built(size, equations):
+    # A one-block system with unshared entries; no builder makes these.
+    return ConstraintSystem(
+        size=size, pair=False, symmetric=False, num_vars=1, half_degree=1, basis=(),
+        equations=tuple(LinearEquation(terms=tuple(t), rhs=Fraction(r)) for t, r in equations),
+    )
+
+
+def test_chain_pass_refuses_an_unknown_in_two_equations():
+    # Feasible, and Gauss-Jordan solves it, but entry (0, 1) sits in two
+    # equations, so the closed form does not hold.
+    cs = hand_built(2, [([(0, 0, 0, 1), (0, 0, 1, 1)], 1), ([(0, 0, 1, 1), (0, 1, 1, 1)], 2)])
+    assert solve_feasible(cs)
+    with pytest.raises(ValueError, match="appears in two equations"):
+        minrank_interval(cs)
+
+
+def test_chain_pass_refuses_an_empty_equation_with_nonzero_rhs():
+    # Terms that cancel leave no nonzero coefficient; with rhs 0 such an
+    # equation is dropped, with rhs 1 the system is infeasible.
+    cancelled = [(0, 0, 1, 1), (0, 0, 1, -1)]
+    fine = hand_built(2, [([(0, 0, 0, 1)], 1), (cancelled, 0), ([(0, 1, 1, 1)], 2)])
+    assert minrank_interval(fine).free_dimension == 2
+    bad = hand_built(2, [([(0, 0, 0, 1)], 1), (cancelled, 1)])
+    with pytest.raises(ValueError, match="constraint system is infeasible"):
+        solve_feasible(bad)
+    with pytest.raises(ValueError, match="constraint system is infeasible"):
+        minrank_interval(bad)
+
+
+def perm4_slice():
+    return homogeneous_part(shift(perm_poly(4), perm_zero_point(4)), 4)
+
+
+@pytest.mark.parametrize(
+    "build,f",
+    [(lambda: build_z2k(5, 2), 12700), (lambda: build_sym_system(perm4_slice()), 5440)],
+    ids=["z2k-d5-k2", "sym-perm4-slice"],
+)
+def test_budget_refusal_builds_no_direction(build, f):
+    # A dense basis would hold f * unknowns Fractions (12,700 * 14,520 for
+    # z2k); the chain count gives f before any direction exists.
+    cs = build()
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"free dimension {f} exceeds budget 6"):
+        minrank_interval(cs)
+    assert time.perf_counter() - start < 1.0
+
+
+def gram_sweep():
+    # Seeded forms with mixed denominators through every builder, then z2k
+    # with k = 1; d = 6 is left out, where the dense oracle alone takes
+    # seconds.
+    rng = random.Random(41)
+    for num_vars in (2, 3, 4):
+        for degree in (2, 4):
+            for _ in range(3):
+                p = mixed_denominator_form(rng, num_vars, degree)
+                for build in (build_affine_system, build_sym_system, build_psd_pair_system):
+                    yield build(p)
+    for d in (3, 4, 5):
+        yield build_z2k(d, 1)
+
+
+def test_chain_solution_equals_gauss_jordan_oracle():
+    kinds = set()
+    for cs in gram_sweep():
+        grids, count, chains = _gram_chains(cs)
+        particular, directions = _chain_solution(count, chains)
+        oracle_grids, rows, rhs = _linear_system(cs)
+        oracle_particular, oracle_basis = solve_linear(rows, rhs)
+        assert grids == oracle_grids
+        assert particular == oracle_particular
+        assert all(type(v) is Fraction for v in particular)
+        assert all(len(d) <= 2 for d in directions)
+        assert directions == nonzeros(oracle_basis)
+        assert count - len(chains) == len(oracle_basis)
+        kinds.add((cs.symmetric, cs.pair, cs.scale is not None))
+    assert len(kinds) == 4
+
+
+def test_skew_chain_rule_matches_dense_null_matrices():
+    # The rule picks the shared-symmetric-part route exactly when every
+    # oracle null matrix is skew.  The hand-built systems add a transposed
+    # pair with opposite coefficients and a column in no equation.
+    systems = [cs for cs in gram_sweep() if not cs.symmetric and not cs.pair]
+    systems.append(hand_built(2, [([(0, 0, 0, 1)], 1), ([(0, 0, 1, 1), (0, 1, 0, -1)], 0), ([(0, 1, 1, 1)], 1)]))
+    systems.append(hand_built(2, [([(0, 0, 0, 1)], 1), ([(0, 0, 1, 1), (0, 1, 0, 1)], 0)]))
+    outcomes = []
+    for cs in systems:
+        grids, count, chains = _gram_chains(cs)
+        _, directions = _chain_solution(count, chains)
+        _, rows, rhs = _linear_system(cs)
+        zero = ExactMatrix.zeros(cs.size, cs.size)
+        null_mats = [_matrices_from_vector(grids, vec)[0] for vec in solve_linear(rows, rhs)[1]]
+        skew = all(n + n.transpose() == zero for n in null_mats)
+        assert _skew_directions(grids[0], directions) == skew
+        outcomes.append(skew)
+    assert outcomes[-2:] == [False, False] and True in outcomes and outcomes.count(False) > 2
+
+
 def test_one_parameter_sampling_ranks_each_value_once(monkeypatch):
     # With f = 1 the origin and the axis sweep rank every value of
     # _sample_values(); seeded random draws from the same values could
@@ -382,6 +488,11 @@ def fraction_sample_rank(grids, particular, basis_vecs, tvec):
     return sum(rank_exact(m) for m in _matrices_from_vector(grids, vec))
 
 
+def nonzeros(vecs):
+    # Dense vectors as the (column, value) lists _integer_solution takes.
+    return [[(c, v) for c, v in enumerate(vec) if v] for vec in vecs]
+
+
 def mixed_denominator_form(rng, num_vars, degree):
     return poly_from_coeffs(
         num_vars,
@@ -405,7 +516,7 @@ def test_integer_sampler_matches_fraction_ranks():
             f = len(basis_vecs)
             if f == 0 or f > 8:
                 continue
-            rank_at = _sample_ranker(grids, _integer_solution(particular, basis_vecs))
+            rank_at = _sample_ranker(grids, _integer_solution(particular, nonzeros(basis_vecs)))
             samples = [[Fraction(0)] * f]
             for _ in range(20):
                 samples.append([
@@ -461,7 +572,7 @@ def test_integer_sampler_at_planted_low_rank_solutions():
             for t, vec in zip(tvec, basis_vecs):
                 rebuilt = [a + t * b for a, b in zip(rebuilt, vec)]
             assert rebuilt == planted
-            rank_at = _sample_ranker(grids, _integer_solution(particular, basis_vecs))
+            rank_at = _sample_ranker(grids, _integer_solution(particular, nonzeros(basis_vecs)))
             assert rank_at(tvec) == fraction_sample_rank(grids, particular, basis_vecs, tvec)
             assert rank_at(tvec) == cs.block_count
             if len({t.denominator for t in tvec if t}) > 1:
