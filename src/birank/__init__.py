@@ -7,6 +7,10 @@ constraint systems and minrank intervals), `abpdec` (clow-sequence
 determinant programs and certified product-sum decompositions), `certify`
 (floating-point eigenvalue certificates), and `cli`.
 
+numpy is loaded only when `certify` runs: the certify names below
+(certify_brank, certify_minrank, jacobi_eigh, mu) import it on first
+access, so the exact layers and every other subcommand start without it.
+
 Symbolic and exponential routes kept only as references for the tests
 live in tests/*_oracle.py, not in the package.
 """
@@ -19,7 +23,6 @@ from birank.abpdec import (
     decompose_from_representation,
     generic_birank_floor,
 )
-from birank.certify import certify_brank, certify_minrank, jacobi_eigh, mu
 from birank.exactla import (
     AffineMatrixPoly,
     ExactMatrix,
@@ -46,6 +49,18 @@ from birank.rankmin import (
     build_z2k,
     minrank_interval,
 )
+
+# Module __getattr__ (PEP 562): see the docstring on when numpy loads.
+_CERTIFY_NAMES = frozenset(("certify_brank", "certify_minrank", "jacobi_eigh", "mu"))
+
+
+def __getattr__(name):
+    if name in _CERTIFY_NAMES:
+        from birank import certify
+
+        return getattr(certify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AffineMatrixPoly",

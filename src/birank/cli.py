@@ -18,6 +18,10 @@ json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) plus a newline;
 canonical_json produces exactly those bytes, faster, through the stdlib's
 C encoder.  Exit codes: 0 success or accepted certificate, 2 rejected
 certificate, 1 any error.
+
+Only certify computes in floating point, so numpy is loaded only when
+certify runs: its handler imports birank.certify, and no other
+subcommand imports numpy.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Tuple
 
-from birank import abpdec, certify, exactla, permhess, polyring, rankmin
+from birank import abpdec, exactla, permhess, polyring, rankmin
 
 
 class UsageError(Exception):
@@ -127,7 +131,7 @@ def _load_json(path):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read JSON from {path}: {exc}")
     except RecursionError:
         raise UsageError(f"cannot read JSON from {path}: nested too deeply")
@@ -289,6 +293,31 @@ def cmd_brank_interval(args: argparse.Namespace) -> int:
     return 0
 
 
+# json.load reads a JSON number as an int or a float.  Strings and
+# booleans must be refused here: numpy's float conversion accepts "1" and
+# true.
+_NUMBERS = frozenset((int, float))
+_JSON_KINDS = {str: "a string", bool: "a boolean", dict: "an object", type(None): "null"}
+
+
+def _non_number(vertices):
+    """The JSON kind of a leaf of the nested vertex lists that is not a
+    number, or None when every leaf is one.  A list of numbers, such as a
+    matrix row, is checked by one set of its types, without a Python loop
+    over its entries."""
+    stack = [vertices]
+    while stack:
+        items = stack.pop()
+        if set(map(type, items)) <= _NUMBERS:
+            continue
+        for item in items:
+            if type(item) is list:
+                stack.append(item)
+            elif type(item) not in _NUMBERS:
+                return _JSON_KINDS[type(item)]
+    return None
+
+
 def cmd_certify(args: argparse.Namespace) -> int:
     if not args.vertices_path or args.r is None:
         raise UsageError("certify needs --vertices FILE and --r")
@@ -302,6 +331,11 @@ def cmd_certify(args: argparse.Namespace) -> int:
     vertices = data["vertices"]
     if not isinstance(vertices, list) or not vertices:
         raise UsageError("vertices list is empty")
+    kind = _non_number(vertices)
+    if kind is not None:
+        raise UsageError(f"bad vertices input: an entry is {kind}, not a number")
+    from birank import certify
+
     try:
         if args.pair:
             cert = certify.certify_brank(vertices, args.r, tol=args.tol)

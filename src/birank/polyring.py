@@ -314,10 +314,18 @@ def int_from_json(value) -> int:
     return int(value)
 
 
+def rational_from_json(num, den) -> Fraction:
+    """The rational num/den of JSON input, each an integer field."""
+    num, den = int_from_json(num), int_from_json(den)
+    if den == 0:
+        raise ValueError(f"rational {num}/{den} has a zero denominator")
+    return Fraction(num, den)
+
+
 def fraction_from_json(obj) -> Fraction:
     if not isinstance(obj, dict) or set(obj) != {"num", "den"}:
         raise ValueError(f"not a rational object: {obj!r}")
-    return Fraction(int_from_json(obj["num"]), int_from_json(obj["den"]))
+    return rational_from_json(obj["num"], obj["den"])
 
 
 def poly_to_json(p: Polynomial) -> dict:
@@ -336,7 +344,7 @@ def poly_from_json(obj) -> Polynomial:
     acc = {}
     for entry in obj["terms"]:
         exps = tuple(int_from_json(e) for e in entry["exp"])
-        coeff = Fraction(int_from_json(entry["num"]), int_from_json(entry["den"]))
+        coeff = rational_from_json(entry["num"], entry["den"])
         if exps in acc:
             raise ValueError(f"duplicate exponent {exps} in polynomial input")
         acc[exps] = coeff

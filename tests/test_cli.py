@@ -376,6 +376,62 @@ def test_certify_pair_rejects_vertices_without_two_blocks(tmp_path, capsys):
         assert captured.err.count("\n") == 1 and "two blocks" in captured.err
 
 
+def assert_one_line_error(capsys, argv, *fragments):
+    assert main(argv) == 1, argv
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1, captured.err
+    for fragment in fragments:
+        assert fragment in captured.err, (fragment, captured.err)
+
+
+def test_certify_refuses_entries_that_are_not_numbers(tmp_path, capsys):
+    # numpy's float conversion read "1" and true as 1.0, and both files
+    # used to be certified with exit 0.
+    cases = (("a string", "1"), ("a boolean", True), ("null", None))
+    for i, (kind, entry) in enumerate(cases):
+        vertex = [[entry, 0], [0, 1]]
+        path = write_json(tmp_path / f"v{i}.json", {"vertices": [vertex]})
+        assert_one_line_error(capsys, ["certify", "--vertices", path, "--r", "1"], f"is {kind}, not a number")
+        path = write_json(tmp_path / f"pair{i}.json", {"vertices": [[[[1, 0], [0, 1]], vertex]]})
+        assert_one_line_error(
+            capsys, ["certify", "--pair", "--vertices", path, "--r", "1"], f"is {kind}, not a number"
+        )
+    # Ints are read as floats, as before.
+    outputs = []
+    for name, vertex in (("ints", [[2, 0], [0, 1]]), ("floats", [[2.0, 0.0], [0.0, 1.0]])):
+        path = write_json(tmp_path / f"{name}.json", {"vertices": [vertex]})
+        code, out = run(capsys, ["certify", "--vertices", path, "--r", "1"])
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+
+
+def test_zero_denominator_is_one_line_error(tmp_path, capsys):
+    # Fraction(n, 0) used to reach stderr as "error: Fraction(1, 0)".
+    poly = {"num_vars": 2, "terms": [{"exp": [1, 1], "num": "1", "den": "0"}]}
+    poly_path = write_json(tmp_path / "poly.json", poly)
+    with open(perm2_matrix_file(tmp_path)) as fh:
+        matrix = json.load(fh)
+    matrix["coeff"][0]["entries"][0][0] = {"num": "1", "den": "0"}
+    matrix_path = write_json(tmp_path / "matrix.json", matrix)
+    for argv in (
+        ["build", "--kind", "xp", "--poly", poly_path],
+        ["brank-interval", "--poly", poly_path],
+        ["mv-det", "--matrix", matrix_path],
+        ["decompose", "--matrix", matrix_path, "--x0", "0,0,0,0", "--k", "1"],
+    ):
+        assert_one_line_error(capsys, argv, "rational 1/0 has a zero denominator")
+
+
+def test_non_utf8_file_names_its_path(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"vertices": [[[1.0]]], "note": "\xff"}')
+    assert_one_line_error(
+        capsys, ["certify", "--vertices", str(path), "--r", "0"], f"cannot read JSON from {path}: ", "utf-8"
+    )
+
+
 def test_bounds(capsys):
     code, out = run(capsys, ["bounds", "--birank", "16", "--k", "1", "--D", "4"])
     assert code == 0
@@ -389,17 +445,22 @@ def test_bounds_validates(capsys):
     assert main(["bounds", "--birank", "4", "--k", "0", "--D", "4"]) == 1
 
 
-def test_module_entry_point(tmp_path):
+def run_python(args):
     # The child imports the same birank as this process, also from a
     # checkout that is not installed.
     src = os.path.dirname(os.path.dirname(birank.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "birank", "bounds", "--birank", "4", "--k", "1", "--D", "2"],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
     )
+
+
+def test_module_entry_point(tmp_path):
+    proc = run_python(["-m", "birank", "bounds", "--birank", "4", "--k", "1", "--D", "2"])
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["dc_lower_bound_float"] == 4.0
 
@@ -615,6 +676,59 @@ def test_canonical_json_matches_stdlib_on_every_subcommand(tmp_path, capsys, mon
         assert first_difference(canonical_json(parsed), out) is None, argv
     assert len(emitted) == len(commands)
     assert any(isinstance(v, float) for obj in emitted for v in obj.values())
+
+
+# Checked in a fresh interpreter, which has loaded nothing yet.
+FRESH_PROCESS = """
+import contextlib, io, json, sys
+import birank.cli
+numpy_after_import = "numpy" in sys.modules
+runs = []
+for argv in sorted(json.loads(sys.argv[1]), key=lambda argv: argv[0] == "certify"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = birank.cli.main(argv)
+    runs.append((argv[0], code, "numpy" in sys.modules))
+import birank
+from birank import jacobi_eigh
+resolved = {name: getattr(birank, name) is getattr(birank.certify, name) for name in LAZY_NAMES}
+print(json.dumps({
+    "numpy_after_import": numpy_after_import,
+    "runs": runs,
+    "resolved": resolved,
+    "from_import": jacobi_eigh is birank.certify.jacobi_eigh,
+    "all": birank.__all__,
+    "all_resolve": all(hasattr(birank, name) for name in birank.__all__),
+}))
+"""
+LAZY_NAMES = ["certify_brank", "certify_minrank", "jacobi_eigh", "mu"]
+PACKAGE_ALL = [
+    "AffineMatrixPoly", "BiDecomposition", "ConstraintSystem", "ExactMatrix", "Polynomial",
+    "Signature", "build_affine_system", "build_psd_pair_system", "build_sym_system", "build_z2k",
+    "certify_brank", "certify_minrank", "char_coefficients", "dc_lower_bound", "dc_sqrt_bound",
+    "decompose_from_representation", "det_poly", "generic_birank_floor", "hessian_report",
+    "homogeneous_part", "jacobi_eigh", "minrank_interval", "monomial_index_set", "mu", "perm_poly",
+    "perm_zero_point", "point", "rank_exact", "shift", "signature_exact", "singular_normal_form",
+]
+
+
+def test_numpy_loads_only_when_certify_runs(tmp_path):
+    # numpy is the largest fixed cost of a process; no subcommand but
+    # certify computes in floating point.
+    commands = every_subcommand(tmp_path)
+    script = FRESH_PROCESS.replace("LAZY_NAMES", repr(LAZY_NAMES))
+    proc = run_python(["-c", script, json.dumps(commands)])
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["numpy_after_import"] is False
+    runs = report["runs"]
+    assert len(runs) == len(commands)
+    assert {name for name, _, _ in runs} == set(cli._HANDLERS)
+    for name, code, numpy_loaded in runs:
+        assert code == 0, name
+        assert numpy_loaded == (name == "certify"), name
+    assert report["resolved"] == {name: True for name in LAZY_NAMES}
+    assert report["from_import"] is True
+    assert report["all"] == PACKAGE_ALL and report["all_resolve"] is True
 
 
 CONTROL = "".join(map(chr, range(32)))

@@ -237,3 +237,8 @@ def test_fraction_json():
     assert fraction_from_json(fraction_to_json(f)) == f
     with pytest.raises(ValueError):
         fraction_from_json({"num": "1"})
+    # Fraction(1, 0) raises ZeroDivisionError, whose text names no field.
+    with pytest.raises(ValueError, match="zero denominator"):
+        fraction_from_json({"num": "1", "den": "-0"})
+    with pytest.raises(ValueError, match="zero denominator"):
+        poly_from_json({"num_vars": 1, "terms": [{"exp": [1], "num": "1", "den": 0}]})
