@@ -138,10 +138,15 @@ def _load_json(path):
 
 
 def _parse_point(text: str) -> Tuple[Fraction, ...]:
-    try:
-        return tuple(Fraction(part.strip()) for part in text.split(","))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"bad point {text!r}: {exc}")
+    coords = []
+    for part in text.split(","):
+        try:
+            coords.append(Fraction(part.strip()))
+        except ValueError as exc:
+            raise UsageError(f"bad point {text!r}: {exc}")
+        except ZeroDivisionError:
+            raise UsageError(f"bad point {text!r}: rational {part.strip()} has a zero denominator")
+    return tuple(coords)
 
 
 def _parse_degrees(text: str) -> Tuple[int, ...]:

@@ -21,6 +21,7 @@ pair), so the JSON writer passes them through unchanged.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from birank.exactla import ExactMatrix, det_integer, rank_integer, signature_lower_bound
+from birank.exactla import ExactMatrix, _eliminate, det_integer, rank_integer, signature_lower_bound
 from birank.polyring import Exponent, Polynomial, fraction_to_json, monomial_index_set
 
 
@@ -300,16 +301,70 @@ def _integer_solution(particular, directions):
     return vector_at
 
 
+def _sample_blocks(grids, vector_at, tvec) -> list:
+    """The integer blocks, as row lists, of the solution at the rational
+    parameter t: those of vector_at(den, t*den)."""
+    den = math.lcm(*(t.denominator for t in tvec))
+    vec = vector_at(den, [t.numerator * (den // t.denominator) for t in tvec])
+    return [[[vec[c] for c in row] for row in grid] for grid in grids]
+
+
 def _sample_ranker(grids, vector_at):
     """rank_at(t): the summed block ranks of the solution at the rational
-    parameter t, ranked on the integer vector_at(den, t*den)."""
+    parameter t."""
 
     def rank_at(tvec) -> int:
-        den = math.lcm(*(t.denominator for t in tvec))
-        vec = vector_at(den, [t.numerator * (den // t.denominator) for t in tvec])
-        return sum(rank_integer([[vec[c] for c in row] for row in grid]) for grid in grids)
+        return sum(rank_integer(rows) for rows in _sample_blocks(grids, vector_at, tvec))
 
     return rank_at
+
+
+def _pivots(rows) -> list:
+    """Pivot columns of a square integer matrix, eliminated in place: its
+    first linearly independent columns, as many as its rank."""
+    return _eliminate(rows, len(rows))[0]
+
+
+def _witness(blocks, symmetric: bool) -> list:
+    """(rows R, columns C) for each integer block B, with B[R, C]
+    nonsingular and |R| = |C| = rank(B).
+
+    C are the pivot columns of B and R those of its transpose: r
+    independent rows and r independent columns of a rank-r matrix always
+    meet in a nonsingular minor.  A symmetric block's independent columns
+    are independent rows too, so one elimination serves."""
+    out = []
+    for rows in blocks:
+        transposed = None if symmetric else [list(col) for col in zip(*rows)]
+        cols = _pivots(rows)
+        out.append((cols if symmetric else _pivots(transposed), cols))
+    return out
+
+
+def _axis_polynomials(grids, vector_at, witness, hit_rows, axis, f) -> list:
+    """For each block, the integer coefficients of s!*h(t) for h(t) the
+    witness minor det(M(t)[R, C]) along M(t) = vector_at(1, t*e_axis).
+
+    h has degree at most s, the number of rows of R that the axis
+    direction touches (hit_rows of the block), since the determinant is
+    linear in each row; its values at t = 0..s fix it (Newton)."""
+    degrees = [len(hit.intersection(rows)) for hit, (rows, _) in zip(hit_rows, witness)]
+    vecs = []
+    for t in range(max(degrees) + 1):
+        factors = [0] * f
+        factors[axis] = t
+        vecs.append(vector_at(1, factors))
+    return [
+        _newton_coefficients([det_integer([[vec[grid[i][j]] for j in cols] for i in rows])
+                              for vec in vecs[:s + 1]])
+        for grid, (rows, cols), s in zip(grids, witness, degrees)
+    ]
+
+
+def _witness_clears(polys, t) -> bool:
+    """Whether every block's witness minor is nonsingular at the parameter
+    t, so that the sample there has rank at least the witness size."""
+    return not any(_vanishes_at(q, t) for q in polys)
 
 
 def _newton_coefficients(values) -> list:
@@ -333,29 +388,96 @@ def _newton_coefficients(values) -> list:
     return coeffs
 
 
-def _vanishes_at(coeffs, t: Fraction) -> bool:
-    # sum_k c_k * num^k * den^(deg - k) == 0, on integers.
+def _scaled_value(coeffs, t: Fraction) -> int:
+    # den^deg * p(t) on integers, which has the sign of p(t).
     deg = len(coeffs) - 1
-    return not sum(c * t.numerator ** k * t.denominator ** (deg - k) for k, c in enumerate(coeffs))
+    return sum(c * t.numerator ** k * t.denominator ** (deg - k) for k, c in enumerate(coeffs))
+
+
+def _vanishes_at(coeffs, t: Fraction) -> bool:
+    return not _scaled_value(coeffs, t)
+
+
+def _primitive(coeffs) -> list:
+    """The primitive integer polynomial that is a positive rational
+    multiple of coeffs (constant term first), with no trailing zero; []
+    for the zero polynomial."""
+    coeffs = [Fraction(c) for c in coeffs]
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    den = math.lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    g = math.gcd(*ints) or 1
+    return [c // g for c in ints]
+
+
+def _divmod(a, b):
+    """Quotient and remainder of a by b over the rationals, constant term
+    first; b has a nonzero last coefficient."""
+    a = [Fraction(c) for c in a]
+    quotient = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for k in reversed(range(len(quotient))):
+        q = quotient[k] = a[k + len(b) - 1] / b[-1]
+        for i, c in enumerate(b):
+            a[k + i] -= q * c
+    return quotient, a[:len(b) - 1]
+
+
+def _gcd(a, b) -> list:
+    """Primitive gcd over the rationals of two integer polynomials (Euclid)."""
+    a, b = _primitive(a), _primitive(b)
+    while b:
+        a, b = b, _primitive(_divmod(a, b)[1])
+    return a
+
+
+def _derivative(coeffs) -> list:
+    return [k * c for k, c in enumerate(coeffs)][1:]
 
 
 def _rational_roots(coeffs) -> list:
-    """Sorted rational roots of a nonconstant integer polynomial, constant
-    term first: by the rational root theorem each is +-num/den with num
-    dividing its lowest and den its leading nonzero coefficient."""
-    low = next(k for k, c in enumerate(coeffs) if c)
-    lead = max(k for k, c in enumerate(coeffs) if c)
+    """Sorted rational roots of a nonzero integer polynomial, constant term
+    first, found without factoring any coefficient.
 
-    def divisors(v):
-        v = abs(v)
-        return {d for c in range(1, math.isqrt(v) + 1) if v % c == 0 for d in (c, v // c)}
+    The real roots of its square-free part s are isolated by exact
+    bisection on Sturm counts (the sign changes of the Sturm sequence fall
+    by one at each root, so they count the roots in (lo, hi]), starting
+    from Cauchy's bound, until each interval is narrower than 1/(2 N^2)
+    for N = |lead(s)|.  A rational root has a denominator dividing N, and
+    two fractions with denominators at most N lie at least 1/N^2 apart, so
+    the closest such fraction to the interval's end is the root when the
+    root is rational; a candidate is kept only if it lies in the interval
+    and s vanishes there.
+    """
+    p = _primitive(coeffs)
+    if len(p) < 2:
+        return []
+    s = _primitive(_divmod(p, _gcd(p, _derivative(p)))[0])
+    sturm = [s, _primitive(_derivative(s))]
+    while len(sturm[-1]) > 1:
+        sturm.append(_primitive([-c for c in _divmod(sturm[-2], sturm[-1])[1]]))
 
-    roots = {Fraction(0)} if low > 0 else set()
-    for num in divisors(coeffs[low]):
-        for den in divisors(coeffs[lead]):
-            for cand in (Fraction(num, den), Fraction(-num, den)):
-                if _vanishes_at(coeffs, cand):
-                    roots.add(cand)
+    def sign_changes(x):
+        signs = [v > 0 for v in (_scaled_value(q, x) for q in sturm) if v]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    lead = abs(s[-1])
+    bound = Fraction(2 + max(abs(c) for c in s[:-1]) // lead)
+    goal = Fraction(1, 2 * lead * lead)
+    roots = []
+    stack = [(-bound, sign_changes(-bound), bound, sign_changes(bound))]
+    while stack:
+        lo, v_lo, hi, v_hi = stack.pop()
+        if v_lo == v_hi:
+            continue
+        if v_lo - v_hi == 1 and hi - lo < goal:
+            cand = hi.limit_denominator(lead)
+            if lo < cand <= hi and _vanishes_at(s, cand):
+                roots.append(cand)
+            continue
+        mid = (lo + hi) / 2
+        v_mid = sign_changes(mid)
+        stack += [(lo, v_lo, mid, v_mid), (mid, v_mid, hi, v_hi)]
     return sorted(roots)
 
 
@@ -385,6 +507,22 @@ def minrank_interval(cs: ConstraintSystem, budget: int = 6, seed: int = 0) -> Mi
     integer blocks are ranked by the shared Bareiss kernel (Bareiss 1968);
     positive scales keep the rank.
 
+    The axis sweep ranks only the values a witness cannot settle.  The
+    witness is a pivot row set R and pivot column set C of each block of
+    a sample M, so each M[R, C] is nonsingular and the sizes sum to the
+    rank of M.  Along axis a the samples are M(t) = P + t * D_a, and D_a,
+    one chain direction, has at most 4 nonzero entries (2 for xp), so
+    h(t) = det(M(t)[R, C]) has degree s at most the number of rows of R
+    that D_a touches, at most 4.  Its integer values at t = 0..s give its
+    coefficients by Newton's forward differences.  Where every block's h
+    is nonzero, the rank is at least the witness size, which is at least
+    upper, so the sample is skipped; elsewhere it is ranked.  Each axis
+    starts from the origin's witness, whose h is nonzero at t = 0, and a
+    sample that lowers upper becomes the witness for the rest of its
+    axis, nonzero there too; so no h vanishes identically, and an axis
+    ranks at most 4 values, 4 more after each drop, for at most s + 1
+    minors per block.  upper is the same as with every value ranked.
+
     The lower bound uses, in order of preference: uniqueness of the
     solution; the inertia of the symmetric part when every nullspace
     direction is skew-symmetric, read off the chains (then all solutions
@@ -399,8 +537,9 @@ def minrank_interval(cs: ConstraintSystem, budget: int = 6, seed: int = 0) -> Mi
     1977).  A minor is a nonzero constant exactly when all its values are
     equal and nonzero; with f > 1 it stops at its first zero or differing
     value.  With f = 1 its values at t = 0..m give, by Newton's forward
-    differences, the integer coefficients of m! * L^m times the minor,
-    whose primitive part is searched for rational roots.
+    differences, the integer coefficients of m! * L^m times the minor.
+    The common rational roots of those minors are the rational roots of
+    their gcd, found by exact bisection without factoring a coefficient.
     """
     grids, count, chains = _gram_chains(cs)
     f = count - len(chains)
@@ -410,7 +549,8 @@ def minrank_interval(cs: ConstraintSystem, budget: int = 6, seed: int = 0) -> Mi
 
     vector_at = _integer_solution(particular, directions)
     rank_at = _sample_ranker(grids, vector_at)
-    upper = rank_at([Fraction(0)] * f)
+    origin_witness = _witness(_sample_blocks(grids, vector_at, [Fraction(0)] * f), cs.symmetric)
+    upper = sum(len(cols) for _, cols in origin_witness)
     upper_method = "origin"
     if f == 0:
         return MinrankInterval(upper, upper, "unique-solution", "unique-solution", 0)
@@ -424,12 +564,27 @@ def minrank_interval(cs: ConstraintSystem, budget: int = 6, seed: int = 0) -> Mi
             upper = r
             upper_method = method
 
-    for axis in range(f):
+    # A witness comes from the origin or from a sample of rank upper, so
+    # its sizes sum to at least upper, and a value where it clears could
+    # not lower upper.
+    rows_of = [{} for _ in grids]
+    for block, grid in zip(rows_of, grids):
+        for i, row in enumerate(grid):
+            for c in row:
+                block.setdefault(c, set()).add(i)
+    for axis, direction in enumerate(directions):
+        hit_rows = [set().union(*(block.get(c, ()) for c, _ in direction)) for block in rows_of]
+        polys = _axis_polynomials(grids, vector_at, origin_witness, hit_rows, axis, f)
         for v in values:
-            if v:
-                tvec = [Fraction(0)] * f
-                tvec[axis] = v
-                consider(tvec, "axis-sweep")
+            if not v or _witness_clears(polys, v):
+                continue
+            tvec = [Fraction(0)] * f
+            tvec[axis] = v
+            found = _witness(_sample_blocks(grids, vector_at, tvec), cs.symmetric)
+            r = sum(len(cols) for _, cols in found)
+            if r < upper:
+                upper, upper_method = r, "axis-sweep"
+                polys = _axis_polynomials(grids, vector_at, found, hit_rows, axis, f)
     if f == 2 and cs.size * cs.block_count <= 8:
         coarse = [Fraction(n, d) for d in (1, 2, 3) for n in range(-3 * d, 3 * d + 1)]
         coarse = sorted(set(coarse))
@@ -438,7 +593,7 @@ def minrank_interval(cs: ConstraintSystem, budget: int = 6, seed: int = 0) -> Mi
                 if va or vb:
                     consider([va, vb], "grid")
     if f > 1:
-        # With f = 1 the axis sweep has already ranked every value a
+        # With f = 1 the axis sweep has already settled every value a
         # random draw can take.
         rng = random.Random(seed)
         for _ in range(300):
@@ -479,26 +634,25 @@ def minrank_interval(cs: ConstraintSystem, budget: int = 6, seed: int = 0) -> Mi
                 # With f > 1 that is all the search needs, so a minor stops
                 # at its first zero or differing value; with f = 1 every
                 # value is kept for the root search.
-                values = []
+                minor_values = []
                 for mat in mats:
                     v = det_integer([[mat[i][j] for j in cidx] for i in ridx])
-                    if f > 1 and (v == 0 or values and v != values[0]):
+                    if f > 1 and (v == 0 or minor_values and v != minor_values[0]):
                         break
-                    values.append(v)
-                if len(values) == len(mats) and (f > 1 or values[0] and len(set(values)) == 1):
+                    minor_values.append(v)
+                if len(minor_values) == len(mats) and (
+                        f > 1 or minor_values[0] and len(set(minor_values)) == 1):
                     found_constant = True
                     break
-                if f == 1 and any(values):
-                    coeffs = _newton_coefficients(values)
-                    g = math.gcd(*coeffs)
-                    polys.append([c // g for c in coeffs])
+                if f == 1 and any(minor_values):
+                    polys.append(_newton_coefficients(minor_values))
             if found_constant and m > lower:
                 lower, lower_method = m, "constant-minor"
                 continue
             if f == 1 and polys:
                 # No rational parameter kills every m-minor -> rank >= m
                 # at every rational point.
-                common = [t for t in _rational_roots(polys[0]) if all(_vanishes_at(q, t) for q in polys)]
+                common = _rational_roots(functools.reduce(_gcd, polys))
                 if not common and m > lower:
                     lower, lower_method = m, "minor-system-no-rational-root"
                 for t in common:

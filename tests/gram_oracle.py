@@ -10,14 +10,21 @@ fraction-free Gauss-Jordan on them; the tests require the closed-form
 chain solution of `minrank_interval` to equal theirs.  `system_from_json`
 reads the triplet layout that `system_to_json` writes, for the round-trip
 test; no subcommand reads a system back.
+
+`sampled_upper` is the upper end of `minrank_interval` with every sample
+ranked, none cleared by a witness minor, and `rational_roots_by_divisors`
+is the rational root search by trial division that the bisection search
+replaced; the tests require each pair to agree.
 """
 
+import itertools
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Tuple
 
-from birank.exactla import ExactMatrix, _eliminate, _integer_rows
+from birank.exactla import ExactMatrix, _eliminate, _integer_rows, det_exact, rank_exact
 from birank.polyring import (
     Exponent,
     Polynomial,
@@ -29,7 +36,10 @@ from birank.polyring import (
 from birank.rankmin import (
     ConstraintSystem,
     LinearEquation,
+    _integer_solution,
     _matrices_from_vector,
+    _sample_ranker,
+    _sample_values,
     _variable_layout,
     build_z2k,
 )
@@ -213,3 +223,102 @@ def system_from_json(obj) -> ConstraintSystem:
         equations=tuple(equations),
         scale=fraction_from_json(scale) if scale else None,
     )
+
+
+def rational_roots_by_divisors(coeffs) -> list:
+    """Sorted rational roots of a nonconstant integer polynomial, constant
+    term first: by the rational root theorem each is +-num/den with num
+    dividing its lowest and den its leading nonzero coefficient, whose
+    divisors are found by trial division up to the square root."""
+    low = next(k for k, c in enumerate(coeffs) if c)
+    lead = max(k for k, c in enumerate(coeffs) if c)
+
+    def divisors(v):
+        v = abs(v)
+        return {d for c in range(1, math.isqrt(v) + 1) if v % c == 0 for d in (c, v // c)}
+
+    roots = {Fraction(0)} if low > 0 else set()
+    for num in divisors(coeffs[low]):
+        for den in divisors(coeffs[lead]):
+            for sign in (1, -1):
+                # den^lead * p(num/den), on integers
+                if not sum(c * (sign * num) ** k * den ** (lead - k) for k, c in enumerate(coeffs[:lead + 1])):
+                    roots.add(Fraction(sign * num, den))
+    return sorted(roots)
+
+
+def _interpolate(values) -> list:
+    """Rational coefficients, constant term first, of the polynomial of
+    degree at most m through (k, values[k]), k = 0..m (Lagrange)."""
+    m = len(values) - 1
+    coeffs = [Fraction(0)] * (m + 1)
+    for k, v in enumerate(values):
+        term = [Fraction(v)]
+        for j in range(m + 1):
+            if j != k:
+                # times (t - j) / (k - j)
+                term = [(a - j * b) / (k - j) for a, b in zip([Fraction(0)] + term, term + [Fraction(0)])]
+        coeffs = [a + b for a, b in zip(coeffs, term)]
+    return coeffs
+
+
+def _minor_roots(grids, particular, direction, m) -> list:
+    """With one free parameter, the rational t where every m-minor of the
+    stacked blocks of particular + t * direction vanishes: the rational
+    roots of the first minor that is not identically zero, kept where the
+    rank at t is below m; none when every m-minor is identically zero."""
+    def stacked(t):
+        blocks = _matrices_from_vector(grids, [a + t * b for a, b in zip(particular, direction)])
+        n, pad = blocks[0].rows, len(blocks) - 1
+        return [[0] * (b * n) + list(row) + [0] * ((pad - b) * n)
+                for b, q in enumerate(blocks) for row in q.entries]
+
+    samples = [stacked(t) for t in range(m + 1)]
+    subsets = list(itertools.combinations(range(len(samples[0])), m))
+    for ridx, cidx in itertools.product(subsets, repeat=2):
+        values = [det_exact(ExactMatrix([[mat[i][j] for j in cidx] for i in ridx])) for mat in samples]
+        if any(values):
+            coeffs = _interpolate(values)
+            den = math.lcm(*(c.denominator for c in coeffs))
+            roots = rational_roots_by_divisors([c.numerator * (den // c.denominator) for c in coeffs])
+            return [t for t in roots if rank_exact(ExactMatrix(stacked(t))) < m]
+    return []
+
+
+def sampled_upper(cs: ConstraintSystem, seed: int = 0):
+    """(upper, upper_method) of minrank_interval with every sample ranked,
+    in its order: the origin, the axis sweep over every nonzero sample
+    value, the grid when f = 2 and the blocks total at most 8 rows, 300
+    seeded draws when f > 1, and last, when f = 1 and the blocks total at
+    most 6 rows, the parameters where every m-minor vanishes (m = 2, 3).
+    The solution set comes from the dense Gauss-Jordan oracle."""
+    grids, rows, rhs = _linear_system(cs)
+    particular, basis = solve_linear(rows, rhs)
+    f = len(basis)
+    rank_at = _sample_ranker(grids, _integer_solution(particular, [
+        [(c, v) for c, v in enumerate(vec) if v] for vec in basis]))
+    upper, method = rank_at([Fraction(0)] * f), "origin"
+    if f == 0:
+        return upper, "unique-solution"
+    values = _sample_values()
+    samples = []
+    for axis in range(f):
+        for v in values:
+            if v:
+                samples.append(([v if a == axis else Fraction(0) for a in range(f)], "axis-sweep"))
+    total = cs.size * cs.block_count
+    if f == 2 and total <= 8:
+        coarse = sorted({Fraction(n, d) for d in (1, 2, 3) for n in range(-3 * d, 3 * d + 1)})
+        samples += [([a, b], "grid") for a in coarse for b in coarse if a or b]
+    if f > 1:
+        rng = random.Random(seed)
+        samples += [([rng.choice(values) for _ in range(f)], "random-sample") for _ in range(300)]
+    if f == 1 and total <= 6:
+        for m in (2, 3):
+            if m <= total:
+                samples += [([t], "minor-root") for t in _minor_roots(grids, particular, basis[0], m)]
+    for tvec, how in samples:
+        r = rank_at(tvec)
+        if r < upper:
+            upper, method = r, how
+    return upper, method

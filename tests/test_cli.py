@@ -420,6 +420,7 @@ def test_zero_denominator_is_one_line_error(tmp_path, capsys):
         ["brank-interval", "--poly", poly_path],
         ["mv-det", "--matrix", matrix_path],
         ["decompose", "--matrix", matrix_path, "--x0", "0,0,0,0", "--k", "1"],
+        ["decompose", "--matrix", perm2_matrix_file(tmp_path), "--x0", "0, 1/0,0,0", "--k", "1"],
     ):
         assert_one_line_error(capsys, argv, "rational 1/0 has a zero denominator")
 
@@ -445,7 +446,7 @@ def test_bounds_validates(capsys):
     assert main(["bounds", "--birank", "4", "--k", "0", "--D", "4"]) == 1
 
 
-def run_python(args):
+def run_python(args, timeout=120):
     # The child imports the same birank as this process, also from a
     # checkout that is not installed.
     src = os.path.dirname(os.path.dirname(birank.__file__))
@@ -455,8 +456,23 @@ def run_python(args):
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
-        timeout=120,
+        timeout=timeout,
     )
+
+
+def test_interval_of_a_quartic_with_huge_coefficients(tmp_path):
+    # The rational root search used to divide by every integer up to the
+    # square root of its coefficients, about 10^18 here, and never ended.
+    rng = random.Random(5)
+    poly = {"num_vars": 2, "terms": [
+        {"exp": [4 - i, i], "num": str(10**18 + rng.randint(1, 10**6)), "den": "1"} for i in range(5)]}
+    path = write_json(tmp_path / "huge.json", poly)
+    start = time.perf_counter()
+    proc = run_python(["-m", "birank", "brank-interval", "--poly", path, "--kind", "sym"], timeout=10)
+    assert time.perf_counter() - start < 2.0
+    assert proc.returncode == 0, proc.stderr
+    obj = json.loads(proc.stdout)
+    assert (obj["lower"], obj["upper"], obj["lower_method"]) == (3, 3, "minor-system-no-rational-root")
 
 
 def test_module_entry_point(tmp_path):

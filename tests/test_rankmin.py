@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import json
@@ -9,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from birank import rankmin
-from birank.exactla import ExactMatrix, rank_exact, rank_integer
+from birank.exactla import ExactMatrix, det_integer, rank_exact, rank_integer
 from birank.permhess import perm_zero_point
 from birank.polyring import (
     Polynomial,
@@ -23,14 +24,20 @@ from birank.polyring import (
 from birank.rankmin import (
     ConstraintSystem,
     LinearEquation,
+    _axis_polynomials,
     _chain_solution,
+    _gcd,
     _gram_chains,
     _integer_solution,
     _matrices_from_vector,
     _newton_coefficients,
+    _pivots,
     _rational_roots,
+    _sample_blocks,
     _sample_ranker,
     _skew_directions,
+    _vanishes_at,
+    _witness_clears,
     build_affine_system,
     build_psd_pair_system,
     build_sym_system,
@@ -46,6 +53,8 @@ from gram_oracle import (
     insert_zeros,
     project_pair_to_z2k,
     projection_sandwich,
+    rational_roots_by_divisors,
+    sampled_upper,
     solve_feasible,
     solve_linear,
     system_from_json,
@@ -322,36 +331,94 @@ def test_skew_chain_rule_matches_dense_null_matrices():
     assert outcomes[-2:] == [False, False] and True in outcomes and outcomes.count(False) > 2
 
 
-def test_one_parameter_sampling_ranks_each_value_once(monkeypatch):
-    # With f = 1 the origin and the axis sweep rank every value of
-    # _sample_values(); seeded random draws from the same values could
-    # only repeat them, and rank_at is deterministic.
+def test_one_parameter_sampling_settles_each_value_once(monkeypatch):
+    # With f = 1 the origin and the axis sweep settle every value of
+    # _sample_values() exactly once: its sample is ranked, or the witness
+    # minor is nonzero there, which puts its rank at or above upper.
+    # Seeded random draws from the same values could only repeat them.
     p = poly_from_coeffs(2, {(4, 0): 1, (3, 1): Fraction(-1, 2), (2, 2): 3, (1, 3): 2,
                              (0, 4): Fraction(5, 3)})
     cs = build_sym_system(p)
-    ranked, rank_calls = [], []
+    ranked, cleared = [], []
 
-    def recording_ranker(grids, vector_at):
-        rank_at = _sample_ranker(grids, vector_at)
+    def recording_blocks(grids, vector_at, tvec):
+        ranked.append(tuple(tvec))
+        return _sample_blocks(grids, vector_at, tvec)
 
-        def record(tvec):
-            ranked.append(tuple(tvec))
-            return rank_at(tvec)
+    def recording_clears(polys, t):
+        clears = _witness_clears(polys, t)
+        if clears:
+            cleared.append(t)
+        return clears
 
-        return record
-
-    def counting_rank(rows):
-        rank_calls.append(len(rows))
-        return rank_integer(rows)
-
-    monkeypatch.setattr(rankmin, "_sample_ranker", recording_ranker)
-    monkeypatch.setattr(rankmin, "rank_integer", counting_rank)
+    monkeypatch.setattr(rankmin, "_sample_blocks", recording_blocks)
+    monkeypatch.setattr(rankmin, "_witness_clears", recording_clears)
     iv = minrank_interval(cs)
     assert (iv.lower, iv.upper, iv.lower_method, iv.upper_method, iv.free_dimension) == (
         3, 3, "minor-system-no-rational-root", "origin", 1)
-    assert len(ranked) == len(set(ranked))
-    assert sorted(t for (t,) in ranked) == rankmin._sample_values()
-    assert len(rank_calls) == len(ranked) == 87
+    assert sorted([t for (t,) in ranked] + cleared) == rankmin._sample_values()
+    assert ranked == [(Fraction(0),)]
+
+
+def test_witness_minor_is_nonsingular():
+    # Pivot rows and columns of square integer matrices of every rank,
+    # general and symmetric: the minor on them is nonsingular and its size
+    # is the rank.
+    rng = random.Random(67)
+    for _ in range(200):
+        n, r = rng.randint(1, 6), rng.randint(0, 6)
+        left = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(n)]
+        right = left if rng.random() < 0.5 else [[rng.randint(-3, 3) for _ in range(r)] for _ in range(n)]
+        m = [[sum(a * b for a, b in zip(x, y)) for y in right] for x in left]
+        symmetric = right is left
+        (rows, cols), = rankmin._witness([[list(row) for row in m]], symmetric)
+        assert len(rows) == len(cols) == rank_integer([list(row) for row in m])
+        assert det_integer([[m[i][j] for j in cols] for i in rows]) != 0
+
+
+def count_sampler_work(monkeypatch):
+    # Exact eliminations (rank_integer for ranked samples, _pivots for
+    # witnesses) and the minors of each witness polynomial build.
+    work = {"eliminations": 0, "minors": 0, "builds": []}
+
+    def counting(name, fn):
+        def wrapped(*args):
+            work[name] += 1
+            return fn(*args)
+        return wrapped
+
+    def counting_build(*args):
+        before = work["minors"]
+        out = _axis_polynomials(*args)
+        work["builds"].append(work["minors"] - before)
+        return out
+
+    monkeypatch.setattr(rankmin, "rank_integer", counting("eliminations", rank_integer))
+    monkeypatch.setattr(rankmin, "_pivots", counting("eliminations", _pivots))
+    monkeypatch.setattr(rankmin, "det_integer", counting("minors", det_integer))
+    monkeypatch.setattr(rankmin, "_axis_polynomials", counting_build)
+    return work
+
+
+def test_axis_sweep_cost_on_twenty_parameter_quartics(monkeypatch):
+    # Ranking every value cost 1 + 85*20 + 300 = 2,001 eliminations.  Now
+    # an axis ranks only where a witness minor vanishes: at most 4 values
+    # per axis and 4 more after each drop of upper in the sweep, each drop
+    # rebuilding that axis's polynomials at up to 5 minors per build.
+    # Seeds 0 and 14 meet the tighter 1 + 300 + one per drop; on seeds 1, 7
+    # and 10 a drop to 9 leaves later axes with samples of rank 9 where the
+    # origin's rank-10 witness vanishes, which are ranked too.
+    work = count_sampler_work(monkeypatch)
+    for seed in (*range(12), 14):
+        work.update(eliminations=0, builds=[])
+        iv = minrank_interval(build_sym_system(seeded_form(4, 4, seed)), budget=20)
+        assert iv.free_dimension == 20
+        drops = len(work["builds"]) - 20
+        assert max(work["builds"]) <= 5
+        assert work["eliminations"] <= 1 + 300 + 4 * (20 + drops)
+        if seed in (0, 14):
+            assert work["eliminations"] <= 1 + 300 + drops
+            assert drops == (seed == 14)
 
 
 def test_insert_zeros_layout():
@@ -757,3 +824,132 @@ def test_rational_roots_of_integer_polynomials():
     assert _rational_roots([0, -10, 13, 3]) == [Fraction(-5), Fraction(0), Fraction(2, 3)]
     assert _rational_roots([1, 0, 1]) == []
     assert _rational_roots([-2, 0, 0, 9]) == []
+
+
+def poly_mul(a, b):
+    # Product of two polynomials, constant term first.
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_rational_roots_agree_with_trial_division():
+    # Seeded small-coefficient polynomials, half of them products of
+    # linear and quadratic factors, so that rational roots, repeated roots
+    # and irrational roots next to rational ones occur, against the trial
+    # division oracle; then the common roots of several polynomials, most
+    # sharing a factor, as the roots of their gcd, against the oracle's
+    # filter.
+    rng = random.Random(59)
+
+    def sample_poly():
+        if rng.random() < 0.5:
+            return [rng.randint(-12, 12) for _ in range(rng.randint(2, 5))]
+        coeffs = [rng.choice([-3, -1, 1, 2, 5])]
+        for _ in range(rng.randint(1, 4)):
+            factor = [rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 4, 6])]
+            if rng.random() < 0.3:
+                factor = [rng.randint(-9, 9), rng.randint(-5, 5), rng.randint(1, 3)]
+            coeffs = poly_mul(coeffs, factor)
+        return coeffs
+
+    with_roots = shared = 0
+    for _ in range(400):
+        p = sample_poly()
+        if not any(p[1:]):
+            continue
+        roots = _rational_roots(p)
+        assert roots == rational_roots_by_divisors(p)
+        with_roots += bool(roots)
+        polys = [p] + [poly_mul(p, q) if rng.random() < 0.3 else poly_mul(p[:2], q)
+                       for q in (sample_poly() for _ in range(rng.randint(1, 2)))]
+        polys = [q for q in polys if any(q)]
+        common = _rational_roots(functools.reduce(_gcd, polys))
+        assert common == [t for t in rational_roots_by_divisors(polys[0])
+                          if all(_vanishes_at(q, t) for q in polys)]
+        shared += bool(common)
+    assert with_roots > 200 and shared > 100
+
+
+def test_rational_roots_do_not_factor_coefficients():
+    # Trial division took 17 s on the first polynomial, dividing up to the
+    # square root of 10^14.
+    start = time.perf_counter()
+    assert _rational_roots([10**14 + 14, 3, 10**14 + 31]) == []
+    big = 10**18 + 9
+    # (big*t - 7) (3t + big)^2 (t^2 + 2): a repeated root and two irrational ones
+    p = poly_mul(poly_mul([-7, big], poly_mul([big, 3], [big, 3])), [2, 0, 1])
+    assert _rational_roots(p) == [Fraction(-big, 3), Fraction(7, big)]
+    assert _rational_roots(poly_mul([-big, 1], [-big, 1])) == [Fraction(big)]
+    assert _rational_roots(poly_mul([-big, 0, 1], [1, big])) == [Fraction(-1, big)]
+    assert time.perf_counter() - start < 1.0
+
+
+BUILDS = {"xp": build_affine_system, "sym": build_sym_system, "psd-pair": build_psd_pair_system}
+# (num_vars, degree) and how many systems of each kind; free dimensions
+# run from 1 to 21, and most systems are small so that ranking every
+# sample stays cheap.
+SAMPLER_PLAN = {
+    "xp": [((2, 2), 100), ((2, 4), 24), ((3, 2), 16), ((4, 2), 8), ((2, 6), 6), ((2, 8), 3), ((3, 4), 2)],
+    "sym": [((2, 4), 102), ((2, 6), 24), ((2, 8), 12), ((3, 4), 8), ((4, 4), 1), ((2, 10), 3)],
+    "psd-pair": [((2, 2), 44), ((3, 2), 16), ((2, 4), 24), ((4, 2), 4), ((2, 6), 3), ((2, 8), 2)],
+}
+
+
+def planted_system(rng, build, num_vars, k):
+    # A Gram form of rank one or two.  Each rank-one term u w^T has u on
+    # {0, i}, and w = u, or w on {0, n-1} for xp, so that the planted
+    # solution often differs from the particular one in one free entry:
+    # a sample on one axis, where upper falls partway through the sweep.
+    # That entry's value is u_i^2 or u_i * w_0, a sampled value unless
+    # u_i is 3 or 3/2, which leaves it to the minor roots.
+    template = build(poly_from_coeffs(num_vars, {(2 * k,) + (0,) * (num_vars - 1): 1}))
+    n = template.size
+    q = [[Fraction(0)] * n for _ in range(n)]
+    for _ in range(rng.choice([1, 1, 2])):
+        u = [Fraction(0)] * n
+        u[0] = Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 4))
+        u[rng.randrange(1, n)] = Fraction(rng.choice([-2, -1, 1, 2, 3]), rng.choice([1, 1, 2]))
+        w = list(u)
+        if not template.symmetric:
+            w = [Fraction(0)] * n
+            w[0], w[-1] = (Fraction(rng.choice([-2, 1, 3]), rng.choice([1, 2])) for _ in range(2))
+        for i in range(n):
+            for j in range(n):
+                q[i][j] += u[i] * w[j]
+    blocks = [ExactMatrix(q)] + [ExactMatrix.zeros(n, n)] * (template.block_count - 1)
+    return build(gram_expand(template, blocks))
+
+
+def sampler_systems():
+    rng = random.Random(97)
+    for kind, plan in SAMPLER_PLAN.items():
+        for (num_vars, degree), count in plan:
+            for rep in range(count):
+                if rep % 2 == 0:
+                    yield kind, True, planted_system(rng, BUILDS[kind], num_vars, degree // 2)
+                else:
+                    coeffs = {e: Fraction(rng.choice([-7, -4, -2, -1, 1, 2, 3, 6, 9]), rng.choice([1, 1, 2, 3]))
+                              for e in monomial_index_set(num_vars, degree) if rng.random() < 0.7}
+                    yield kind, False, BUILDS[kind](
+                        poly_from_coeffs(num_vars, coeffs or {(degree,) + (0,) * (num_vars - 1): 1}))
+
+
+def test_witness_sweep_matches_ranking_every_sample():
+    # The witness filter skips only samples that could not lower upper,
+    # so upper and its method equal those of ranking every sample.
+    seen = []
+    for kind, planted, cs in sampler_systems():
+        iv = minrank_interval(cs, budget=24)
+        assert (iv.upper, iv.upper_method) == sampled_upper(cs), (kind, planted)
+        seen.append((kind, planted, iv.free_dimension, iv.upper_method))
+    assert len(seen) >= 400
+    assert sum(planted for _, planted, _, _ in seen) * 2 >= len(seen)
+    assert {kind for kind, _, _, _ in seen} == set(BUILDS)
+    assert max(f for _, _, f, _ in seen) >= 20
+    fell = {kind for kind, planted, _, method in seen if planted and method == "axis-sweep"}
+    assert fell == set(BUILDS)
+    assert sum(method == "axis-sweep" for *_, method in seen) >= 100
+    assert "minor-root" in {method for *_, method in seen}
