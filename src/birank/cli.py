@@ -19,6 +19,13 @@ canonical_json produces exactly those bytes, faster, through the stdlib's
 C encoder.  Exit codes: 0 success or accepted certificate, 2 rejected
 certificate, 1 any error.
 
+Output is written in chunks, a batch of records of each record list at a
+time, so a 12.8 MB system is never held as one text.  The --out file is
+opened only once the first chunk is encoded: an object that fails there,
+such as a NaN in a small report, writes nothing.  A failure after the
+first chunk leaves a truncated --out file (or stdout) and exits 1; no
+subcommand's large output holds floats.
+
 Only certify computes in floating point, so numpy is loaded only when
 certify runs: its handler imports birank.certify, and no other
 subcommand imports numpy.
@@ -31,8 +38,9 @@ import json
 import math
 import sys
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
+from operator import eq
 from typing import Tuple
 
 from birank import abpdec, exactla, permhess, polyring, rankmin
@@ -52,11 +60,18 @@ class _Parser(argparse.ArgumentParser):
 
 # The item separator of the C encoder below.  ensure_ascii escapes every
 # control character inside a string, so in its output _SEP appears only
-# between items.
+# between items, and _ITEM, which it never writes, can mark where one item
+# of a column ends.
 _SEP = "\x00"
+_ITEM = "\x01"
 _ENCODE = json.JSONEncoder(sort_keys=True, allow_nan=False, separators=(_SEP, ": ")).encode
 _SCALARS = frozenset((str, int, float, bool, type(None)))
 _SEQUENCES = frozenset((list, tuple))
+# Records of a record list encoded, and written out by _emit, together:
+# about 130 kB of z2k equations.  While it writes a column of z2k terms,
+# the C encoder's own peak is about 25 times their compact text (Python
+# 3.11: 1.8 MB for 512 equations), so the batch sets the peak of _emit.
+_BATCH = 128
 
 
 def canonical_json(obj) -> str:
@@ -67,64 +82,151 @@ def canonical_json(obj) -> str:
     Python walks only the containers that hold containers; each list or
     dict of scalars, and each list of non-empty scalar lists, is written
     by one call of the C encoder, whose separators are then replaced by
-    the indented ones.
+    the indented ones.  A list of dicts that share one set of str keys is
+    written a batch of records at a time, with one encoder call per key.
     """
     out = []
-    _write(obj, "\n", out)
+    _write(obj, "\n", out, lambda: None)
     out.append("\n")
     return "".join(out)
 
 
-def _write(obj, newline: str, out: list) -> None:
+def _column(values, newline: str):
+    """The canonical texts of values, each starting on the line that
+    newline ends, from one call of the C encoder: (opening, texts,
+    closing), where values[i] reads opening + texts[i] + closing.  None
+    unless values are all scalars, or all non-empty dicts of scalars, all
+    non-empty lists of scalars or all non-empty lists of non-empty scalar
+    lists."""
+    kinds = set(map(type, values))
+    if kinds <= _SCALARS:
+        return "", _ENCODE(values)[1:-1].split(_SEP), ""
+    if not all(values):
+        return None
+    inner = newline + "  "
+    # A scalar never ends in "}" or "]", so "}" _SEP "{" and "]" _SEP "["
+    # are exactly the separators between two containers.
+    if kinds == {dict}:
+        if not set(map(type, chain.from_iterable(map(dict.values, values)))) <= _SCALARS:
+            return None
+        text = _ENCODE(values)[2:-2].replace("}" + _SEP + "{", _ITEM)
+        return "{" + inner, text.replace(_SEP, "," + inner).split(_ITEM), newline + "}"
+    if not kinds <= _SEQUENCES:
+        return None
+    items = set(map(type, chain.from_iterable(values)))
+    if items <= _SCALARS:
+        text = _ENCODE(values)[2:-2].replace("]" + _SEP + "[", _ITEM)
+        return "[" + inner, text.replace(_SEP, "," + inner).split(_ITEM), newline + "]"
+    if not (items <= _SEQUENCES and all(chain.from_iterable(values))):
+        return None
+    if not set(map(type, chain.from_iterable(chain.from_iterable(values)))) <= _SCALARS:
+        return None
+    deeper = inner + "  "
+    text = _ENCODE(values)[3:-3].replace("]]" + _SEP + "[[", _ITEM)
+    text = text.replace("]" + _SEP + "[", inner + "]," + inner + "[" + deeper).replace(_SEP, "," + deeper)
+    return "[" + inner + "[" + deeper, text.split(_ITEM), inner + "]" + newline + "]"
+
+
+def _write(obj, newline: str, out: list, flush) -> None:
     # newline is "\n" plus the indent of the line that obj starts on.
+    # flush is called after each batch of a record list.
+    shape = _column((obj,), newline)
+    if shape:
+        opening, (text,), closing = shape
+        out += opening, text, closing
+        return
     inner = newline + "  "
     if isinstance(obj, (list, tuple)):
         if not obj:
             out.append("[]")
-            return
-        kinds = set(map(type, obj))
-        if kinds <= _SCALARS:
-            out += "[", inner, _ENCODE(obj)[1:-1].replace(_SEP, "," + inner), newline, "]"
-        elif kinds <= _SEQUENCES and all(obj) and set(map(type, chain.from_iterable(obj))) <= _SCALARS:
-            # A scalar never ends in "]", so "]" _SEP "[" is exactly the
-            # separator between two inner lists.
-            deeper = inner + "  "
-            body = _ENCODE(obj)[2:-2].replace("]" + _SEP + "[", inner + "]," + inner + "[" + deeper)
-            out += "[", inner, "[", deeper, body.replace(_SEP, "," + deeper), inner, "]", newline, "]"
+        elif len(obj) > 1 and set(map(type, obj)) == {dict} and obj[0] and set(map(type, obj[0])) == {str}:
+            _write_records(obj, newline, out, flush)
         else:
             out.append("[")
             sep = inner
             for item in obj:
                 out.append(sep)
-                _write(item, inner, out)
+                _write(item, inner, out, flush)
                 sep = "," + inner
             out += newline, "]"
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
-        elif set(map(type, obj.values())) <= _SCALARS:
-            out += "{", inner, _ENCODE(obj)[1:-1].replace(_SEP, "," + inner), newline, "}"
-        else:
-            out.append("{")
-            sep = inner
-            for key, value in sorted(obj.items()):
-                # json converts int, float, bool and None keys to strings.
-                key = encode_basestring_ascii(key) if isinstance(key, str) else _ENCODE({key: None})[1:-7]
-                out += sep, key, ": "
-                _write(value, inner, out)
-                sep = "," + inner
-            out += newline, "}"
+            return
+        out.append("{")
+        sep = inner
+        for key, value in sorted(obj.items()):
+            # json converts int, float, bool and None keys to strings.
+            key = encode_basestring_ascii(key) if isinstance(key, str) else _ENCODE({key: None})[1:-7]
+            out += sep, key, ": "
+            _write(value, inner, out, flush)
+            sep = "," + inner
+        out += newline, "}"
     else:
         out.append(_ENCODE(obj))
 
 
+def _write_records(records, newline: str, out: list, flush) -> None:
+    """A list of dicts whose first one has only str keys, a batch of
+    records at a time.  A batch whose records all have the first one's
+    keys, and whose every column _column can write, is written column by
+    column; any other batch record by record."""
+    inner = newline + "  "
+    keys = records[0].keys()
+    sep = "[" + inner
+    for start in range(0, len(records), _BATCH):
+        batch = records[start:start + _BATCH]
+        same_keys = all(map(eq, repeat(keys), map(dict.keys, batch)))
+        if not (same_keys and _write_columns(batch, sep, newline, out)):
+            for record in batch:
+                out.append(sep)
+                _write(record, inner, out, flush)
+                sep = "," + inner
+        sep = "," + inner
+        flush()
+    out += newline, "]"
+
+
+def _write_columns(batch, sep: str, newline: str, out: list) -> bool:
+    # Record i reads sep_i "{" field key_1 ": " value_1 "," field key_2
+    # ... value_m inner "}": the constant texts between the values are
+    # shared by every record of the batch.
+    inner = newline + "  "
+    field = inner + "  "
+    parts = [chain((sep + "{",), repeat("," + inner + "{"))]
+    closing = ""
+    for key in sorted(batch[0]):
+        shape = _column([record[key] for record in batch], field)
+        if shape is None:
+            return False
+        opening, texts, after = shape
+        parts += repeat(closing + field + encode_basestring_ascii(key) + ": " + opening), texts
+        closing = after + ","
+    parts.append(repeat(closing[:-1] + inner + "}"))
+    out += chain.from_iterable(zip(*parts))
+    return True
+
+
 def _emit(obj, out_path) -> None:
-    text = canonical_json(obj)
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    """Write the canonical text of obj to the file out_path, or to stdout,
+    one record batch at a time.  The file is opened at the first write,
+    so an object that fails to encode before it writes nothing."""
+    out, file = [], None
+
+    def flush():
+        nonlocal file
+        if file is None:
+            file = open(out_path, "w") if out_path else sys.stdout
+        file.write("".join(out))
+        out.clear()
+
+    try:
+        _write(obj, "\n", out, flush)
+        out.append("\n")
+        flush()
+    finally:
+        if out_path and file is not None:
+            file.close()
 
 
 def _load_json(path):

@@ -668,6 +668,9 @@ def minrank_interval(cs: ConstraintSystem, budget: int = 6, seed: int = 0) -> Mi
 
 
 def system_to_json(cs: ConstraintSystem) -> dict:
+    # One rhs object per distinct value, shared by its equations: z2k's
+    # 12,650 equations at d = 6 have two.
+    rhs = {value: fraction_to_json(value) for value in {eq.rhs for eq in cs.equations}}
     return {
         "n": cs.size,
         "pair": cs.pair,
@@ -676,5 +679,5 @@ def system_to_json(cs: ConstraintSystem) -> dict:
         "k": cs.half_degree,
         "scale": fraction_to_json(cs.scale) if cs.scale is not None else None,
         "basis": cs.basis,
-        "eqs": [{"terms": eq.terms, "rhs": fraction_to_json(eq.rhs)} for eq in cs.equations],
+        "eqs": [{"terms": eq.terms, "rhs": rhs[eq.rhs]} for eq in cs.equations],
     }

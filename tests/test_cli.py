@@ -5,13 +5,14 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import birank
-from birank import cli
+from birank import cli, rankmin
 from birank.cli import canonical_json, main
 from birank.exactla import AffineMatrixPoly, ExactMatrix, affine_to_json
 from birank.polyring import Polynomial, poly_to_json
@@ -579,6 +580,9 @@ GOLDEN_DIGESTS = {
     "build-psd-pair-quartic": "ab449a344f979b65646666225962d934976ce62f85be4ef81051f7580cd050e5",
     # The file written by --export-cs, not stdout.
     "interval-psd-pair-export-cs": "ab449a344f979b65646666225962d934976ce62f85be4ef81051f7580cd050e5",
+    # The largest outputs, of LARGE_GOLDEN_COMMANDS.
+    "build-z2k-d6-k2": "1209160044a9a725f2f2646baed6a7189c45d729db4fdf1daafd212257d1bc86",
+    "hessian-d10-matrix": "02d2a14c1dd8fe7336499fd1c3197ac173f3fd92273e11e4021ae20b18bfc512",
 }
 
 
@@ -626,6 +630,59 @@ def test_golden_export_cs_digest(tmp_path, capsys):
     assert hashlib.sha256(export.read_bytes()).hexdigest() == GOLDEN_DIGESTS["interval-psd-pair-export-cs"]
 
 
+# Kept out of golden_commands, whose every command is also written by the
+# stdlib's pure-Python encoder in the tests: that takes seconds on the
+# 12.8 MB z2k system.
+LARGE_GOLDEN_COMMANDS = {
+    "build-z2k-d6-k2": ["build", "--kind", "z2k", "--d", "6", "--k", "2"],
+    "hessian-d10-matrix": ["hessian", "--d", "10", "--include-matrix"],
+}
+
+
+def test_golden_large_output_digests(tmp_path, capsys):
+    # Many record batches, to stdout and to an --out file.
+    for name, argv in LARGE_GOLDEN_COMMANDS.items():
+        code, out = run(capsys, argv)
+        assert code == 0, name
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_DIGESTS[name], name
+        path = tmp_path / f"{name}.json"
+        assert main(argv + ["--out", str(path)]) == 0, name
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_DIGESTS[name], name
+
+
+def test_emit_holds_a_few_record_batches_not_the_text(tmp_path):
+    # The 1.8 MB system is written a batch of equations at a time; the
+    # whole text, and its encoded bytes, would each take the output's size.
+    obj = rankmin.system_to_json(rankmin.build_z2k(5, 2))
+    path = tmp_path / "z2k.json"
+    tracemalloc.start()
+    try:
+        cli._emit(obj, str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 1_800_000
+    assert peak < size / 2
+    assert path.read_text() == canonical_json(obj)
+
+
+def test_emit_opens_out_at_the_first_chunk(tmp_path, capsys):
+    # An object that fails to encode in its first chunk writes nothing.
+    path = tmp_path / "out.json"
+    for out_path in (str(path), None):
+        with pytest.raises(ValueError):
+            cli._emit({"mu": float("nan")}, out_path)
+    assert not path.exists()
+    assert capsys.readouterr().out == ""
+    # A failure in a later chunk leaves the chunks written before it.
+    records = [{"a": 0.5}] * cli._BATCH + [{"a": float("nan")}]
+    with pytest.raises(ValueError):
+        cli._emit(records, str(path))
+    written = path.read_text()
+    assert written and canonical_json(records[:cli._BATCH]).startswith(written)
+
+
 def every_subcommand(tmp_path):
     """The golden commands and one command for each subcommand, kind and
     mode they leave out; every one exits 0."""
@@ -668,12 +725,13 @@ def first_difference(a, b):
 
 def test_canonical_json_matches_stdlib_on_every_subcommand(tmp_path, capsys, monkeypatch):
     emitted = []
+    emit = cli._emit
 
-    def recording(obj):
+    def recording(obj, out_path):
         emitted.append(obj)
-        return canonical_json(obj)
+        emit(obj, out_path)
 
-    monkeypatch.setattr(cli, "canonical_json", recording)
+    monkeypatch.setattr(cli, "_emit", recording)
     indefinite = [[0.0, 0.5], [0.5, 0.0]]
     rejected = [
         ["certify", "--vertices", write_json(tmp_path / "rejected.json", {"vertices": [indefinite]}),
@@ -760,6 +818,26 @@ ADVERSARIAL_SHAPES = [
     {"big": [[10 ** 100, -(10 ** 100)]], "flag": False, "none": None},
     {1: [1], 2.5: [2], -3: {}}, {True: [1], False: 0}, {None: [None]},
     "top", "\x00", 7, 2.5, None, True,
+    # Record lists: dicts that share one set of str keys.
+    [{"terms": [[0, 1, 2], [3, 4, 5]], "rhs": {"num": "1", "den": "1"}},
+     {"terms": [[6]], "rhs": {"num": "-1", "den": "2"}}],
+    [{"a": 1, "b": 2}, {"a": 1, "c": 2}],
+    [{1: "x", 2: "y"}, {1: "z", 2: "w"}],
+    [{"a": 1, "b": [1]}, {"a": [2], "b": [3]}],
+    [{"a": [1, 2]}, {"a": [[1], [2]]}],
+    [{"a": {"x": 1}}, {"a": [1]}],
+    [{"a": [], "b": {}}, {"a": [1], "b": {"x": 1}}],
+    [{"a": [[1], []]}, {"a": [[2]]}],
+    [{"a": {"x": {"y": 1}}}, {"a": {"x": {}}}],
+    [{"a": [{"b": 1}, {"b": 2}]}, {"a": [{"b": 3}, {"b": 4}]}],
+    [{"a": 1, "b": [1, 2]}],
+    [{"]]\x00[[": ["]]\x00[[", "}\x00{"], "k": {"}\x00{": "]\x00["}},
+     {"]]\x00[[": [CONTROL], "k": {"": CONTROL}}],
+    [{"a": [["]", "["], [CONTROL]], "b": (1, 2)}, {"a": (("}",),), "b": [None, True]}],
+    [{"a": i, "b": [i, -i], "c": {"x": str(i)}} for i in range(2 * cli._BATCH + 3)],
+    # One record that differs, in the second batch.
+    [{"a": i, "b": [i, -i]} for i in range(cli._BATCH + 2)] + [{"a": [[1]], "b": []}] + [{"a": 0, "b": [0]}],
+    [{"a": i} for i in range(cli._BATCH + 2)] + [{"b": 1}] + [{"a": 0}],
 ]
 
 
@@ -770,6 +848,8 @@ def test_canonical_json_matches_stdlib_on_adversarial_shapes(obj):
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_canonical_json_refuses_non_finite_floats(value):
-    for obj in (value, [value], [1, [value]], [[value]], {"a": value}, {"a": value, "b": []}):
+    later_batch = [{"a": 0.5, "b": [0.5]}] * cli._BATCH
+    for obj in (value, [value], [1, [value]], [[value]], {"a": value}, {"a": value, "b": []},
+                later_batch + [{"a": value, "b": [0.5]}], later_batch + [{"a": 0.5, "b": [value]}]):
         with pytest.raises(ValueError):
             canonical_json(obj)
