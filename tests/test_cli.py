@@ -564,6 +564,11 @@ GOLDEN_DIGESTS = {
     "hessian-d9": "e38f6a9318f29f52251784c0f4e102a97b141e86f8f3bce8b2113f3522c518bc",
     "hessian-d10": "c89239cdd90f8f8acf57815c4a7d4ab942ad03d9a86d3b9605e3ce094590c617",
     "hessian-d5-matrix": "f03c55dcfc81916e16fc3045c906c5a60969d8ce6149de94835121edcebeee9a",
+    "hessian-d2-matrix": "f06a397297b13e0cfb1070e8a687348b85bb5a1f14b665c102bcbb92422e8fd9",
+    "hessian-d3-matrix": "69ef64d4f28b1a0a810d43dc449d978a5cc54bd3b8637ac533c390d397032929",
+    "hessian-d4-matrix": "c6070ce9ce4702ac04bc58f601d015add8da0db467cdb4ce92418a5365be15d1",
+    "bounds-k2": "fb463bdb2c08ec1bf956e73f76b747ee2497f10e92f0ddd6fe6f231df558f992",
+    "bounds-k300": "8d9066ac7a760a18d554b4b79c1f25ef160ce4165e7246fdea1f267e400f634b",
     "decompose-k1": "e6dd0544399d34ea53b35369d09d746fb1e83392afe6abc5f39186f8acd77335",
     "decompose-k2": "b605c2239b9bd5a14fbc17b6573afdf52cc7730aa6063d95e22f9a9cca509ce7",
     "decompose-7x7-k2": "b75229a84314f5cc553611b52fde1179d9ed30bf705b8d9016267d3c7377e02e",
@@ -592,7 +597,7 @@ def golden_commands(tmp_path):
     rep7_corank4, _ = rep7_file(tmp_path, rank=3)
     quartic = binary_quartic_file(tmp_path)
     return {
-        "hessian-d5-matrix": ["hessian", "--d", "5", "--include-matrix"],
+        **{f"hessian-d{d}-matrix": ["hessian", "--d", str(d), "--include-matrix"] for d in range(2, 6)},
         **{f"hessian-d{d}": ["hessian", "--d", str(d)] for d in range(2, 11)},
         "decompose-k1": ["decompose", "--matrix", rep, f"--x0={x0}", "--k", "1"],
         "decompose-k2": ["decompose", "--matrix", rep, f"--x0={x0}", "--k", "2"],
@@ -611,6 +616,9 @@ def golden_commands(tmp_path):
         "build-xp-quartic": ["build", "--kind", "xp", "--poly", quartic],
         "build-sym-quartic": ["build", "--kind", "sym", "--poly", quartic],
         "build-psd-pair-quartic": ["build", "--kind", "psd-pair", "--poly", quartic],
+        "bounds-k2": ["bounds", "--birank", "16", "--k", "2", "--D", "4"],
+        # Exact fractions of up to 723 digits next to their floats.
+        "bounds-k300": ["bounds", "--birank", "5", "--k", "300", "--D", "9"],
     }
 
 

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -391,6 +393,49 @@ def test_singular_normal_form_7x7_by_evaluation():
                 lhs = det_exact(form.linear.evaluate(ty) + lam)
                 rhs = det_exact(q.evaluate(point(a + b for a, b in zip(x0, ty))))
                 assert lhs == rhs
+
+
+def normal_form_sweep():
+    # Two inputs for every n = 1..7 and rank r < n, rational entries; the
+    # second has its first z >= 1 columns of Q(x0) zero.
+    rng = random.Random(19)
+    x0 = point(["1/2", -1])
+    for n in range(1, 8):
+        for r in range(n):
+            for zero_cols in (0, rng.randint(1, n - r)):
+                while True:
+                    if r:
+                        h = random_matrix(rng, r, n, span=3)
+                        h = ExactMatrix([[0] * zero_cols + list(row[zero_cols:]) for row in h.entries])
+                        m0 = random_matrix(rng, n, r, span=3) @ h
+                    else:
+                        m0 = ExactMatrix.zeros(n, n)
+                    if rank_exact(m0) == r:
+                        break
+                coeffs = [random_matrix(rng, n, n, span=3) for _ in x0]
+                const = m0
+                for x, c in zip(x0, coeffs):
+                    const = const - c.scale(x)
+                yield AffineMatrixPoly(const, coeffs), x0
+
+
+NORMAL_FORM_SWEEP_DIGEST = "3330a8535ffe5169f7dfba539b6ef33d08b44b527f1f853699e35ddcbef79b11"
+
+
+def test_singular_normal_form_sweep_digest():
+    # Pins S, T, the rank and the linear part over the whole sweep.
+    forms = []
+    for q, x0 in normal_form_sweep():
+        form = singular_normal_form(q, x0)
+        forms.append({
+            "s": matrix_to_json(form.s),
+            "t": matrix_to_json(form.t),
+            "rank": form.rank,
+            "linear": affine_to_json(form.linear),
+        })
+    assert len(forms) == 56
+    text = json.dumps(forms, sort_keys=True, indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == NORMAL_FORM_SWEEP_DIGEST
 
 
 def test_singular_normal_form_rejects_a_wrong_transform(monkeypatch):
