@@ -454,23 +454,40 @@ def cmd_certify(args: argparse.Namespace) -> int:
     return 0 if cert.accepted else 2
 
 
+# The largest --k of a printable bounds report: at D = 1 the generic floor's
+# denominator 2 (2k)! / k! passes Python's 4300-digit limit on printing an
+# integer above it, and every D >= 2 overflows a float field before it.
+BOUNDS_MAX_K = 1308
+
+
 def cmd_bounds(args: argparse.Namespace) -> int:
     if args.birank is None or args.k is None or args.big_d is None:
         raise UsageError("bounds needs --birank, --k and --D")
     if args.birank < 0 or args.k < 1 or args.big_d < 1:
         raise UsageError("bounds needs --birank >= 0, --k >= 1, --D >= 1")
+    if args.k > BOUNDS_MAX_K:
+        raise UsageError(f"bounds needs --k <= {BOUNDS_MAX_K}; above it no --D keeps every field printable")
+    overflow = UsageError("bounds needs every float field below the largest float, about 1.8e308")
+    # Sure overflows, refused before the powers: b and D/4 are float fields
+    # at k = 1, and past k = 1 the term 2(k-1) D^(k-1) of dc_lower_bound
+    # outweighs b / 4^(k-1) for every b whose square root is a float.
+    if max(args.birank, args.big_d).bit_length() > 1026 or (args.k - 1) * (args.big_d.bit_length() - 1) >= 1024:
+        raise overflow
     lower = abpdec.dc_lower_bound(args.birank, args.k, args.big_d)
     floor = abpdec.generic_birank_floor(args.big_d, args.k)
-    obj = {
-        "birank": args.birank,
-        "k": args.k,
-        "D": args.big_d,
-        "dc_lower_bound": polyring.fraction_to_json(lower),
-        "dc_lower_bound_float": float(lower),
-        "dc_sqrt_bound": abpdec.dc_sqrt_bound(args.birank),
-        "generic_floor": polyring.fraction_to_json(floor),
-        "generic_floor_float": float(floor),
-    }
+    try:
+        obj = {
+            "birank": args.birank,
+            "k": args.k,
+            "D": args.big_d,
+            "dc_lower_bound": polyring.fraction_to_json(lower),
+            "dc_lower_bound_float": float(lower),
+            "dc_sqrt_bound": abpdec.dc_sqrt_bound(args.birank),
+            "generic_floor": polyring.fraction_to_json(floor),
+            "generic_floor_float": float(floor),
+        }
+    except OverflowError:
+        raise overflow from None
     _emit(obj, args.out_path)
     return 0
 

@@ -352,12 +352,6 @@ class AffineMatrixPoly:
     def is_linear(self) -> bool:
         return self.const == ExactMatrix.zeros(self.n, self.n)
 
-    def linear_part(self) -> "AffineMatrixPoly":
-        return AffineMatrixPoly(ExactMatrix.zeros(self.n, self.n), self.coeffs)
-
-    def left_right_multiply(self, s: ExactMatrix, t: ExactMatrix) -> "AffineMatrixPoly":
-        return AffineMatrixPoly(s @ self.const @ t, [s @ c @ t for c in self.coeffs])
-
     def __eq__(self, other):
         if not isinstance(other, AffineMatrixPoly):
             return NotImplemented
@@ -376,15 +370,16 @@ class SingularNormalForm:
 
 
 def _decompose_constant(m0: ExactMatrix):
-    """(s, t, r) with s @ m0 @ t the 0/1 diagonal carrying r leading ones.
+    """(s, t, r) with s @ m0 @ t the 0/1 diagonal carrying r trailing ones.
 
     The pivots are those of a full-pivot search that takes, at step p, the
     first nonzero column of the trailing block and swaps it into place.
-    s is the row transform that makes each pivot 1 and clears below it,
-    read from the forward elimination of [c * m0 | I], c the scale of
-    _integer_multiple.  t then clears right of each pivot: it is the
-    inverse of s @ m0 with its zero rows replaced by the unit rows of the
-    non-pivot columns, in the order the swaps left them.
+    s is the row transform read from the forward elimination of
+    [c * m0 | I], c the scale of _integer_multiple: first the n - r
+    combinations of m0's rows that vanish, then the pivot rows, each
+    scaled to make its pivot 1.  t then clears right of each pivot: it is the inverse
+    of s @ m0 with its zero rows replaced by the unit rows of the non-pivot
+    columns, in the order the swaps left them.
     """
     n = m0.rows
     rows, scale = _integer_multiple(m0)
@@ -392,16 +387,16 @@ def _decompose_constant(m0: ExactMatrix):
         row.extend(int(i == j) for j in range(n))
     pivots, _, last = _eliminate(rows, n)
     r = len(pivots)
-    # Pivot row k times c / pivot_k is the normalized row; a zero row holds
-    # its own original row with coefficient last.
-    s = [[v * scale / row[c] for v in row[n:]] for row, c in zip(rows, pivots)]
-    s += [[Fraction(v, last) for v in row[n:]] for row in rows[r:]]
+    # A zero row holds its own original row with coefficient last; pivot
+    # row k times c / pivot_k is the normalized row.
+    s = [[Fraction(v, last) for v in row[n:]] for row in rows[r:]]
+    s += [[v * scale / row[c] for v in row[n:]] for row, c in zip(rows, pivots)]
     order = list(range(n))
     for p, c in enumerate(pivots):
         j = order.index(c)
         order[p], order[j] = order[j], order[p]
-    z = [[Fraction(v, row[c]) for v in row[:n]] for row, c in zip(rows, pivots)]
-    z += [[int(j == order[k]) for j in range(n)] for k in range(r, n)]
+    z = [[int(j == order[k]) for j in range(n)] for k in range(r, n)]
+    z += [[Fraction(v, row[c]) for v in row[:n]] for row, c in zip(rows, pivots)]
     return ExactMatrix(s), inverse_exact(ExactMatrix(z)), r
 
 
@@ -410,40 +405,26 @@ def singular_normal_form(q: AffineMatrixPoly, x0: Point) -> SingularNormalForm:
 
     Returns S, T such that S*Q(x0)*T = J is diagonal with ones exactly in
     the last r positions, together with the transformed linear part
-    A(x) = S*(Q(x0 + x) - Q(x0))*T.  At every size two exact checks run
-    before the form is returned: det(S)*det(T) = 1 and S*Q(x0)*T = J.  As
-    A(x) + J = S*Q(x0 + x)*T, they give det(A(x) + J) = det(Q(x0 + x)) by
-    the multiplicativity of the determinant; ArithmeticError if either
-    fails.
+    A(x) = S*(Q(x0 + x) - Q(x0))*T.  S and T are those of
+    _decompose_constant, with the first row of S, a zero row of J, divided
+    by det(S)*det(T).  At every size two exact checks run before the form
+    is returned: det(S)*det(T) = 1 and S*Q(x0)*T = J.  As A(x) + J =
+    S*Q(x0 + x)*T, they give det(A(x) + J) = det(Q(x0 + x)) by the
+    multiplicativity of the determinant; ArithmeticError if either fails.
     """
     x0 = point(x0)
     m0 = q.evaluate(x0)
     n = q.n
-    s1, t1, r = _decompose_constant(m0)
+    s, t, r = _decompose_constant(m0)
     if r == n:
         raise ValueError("Q(x0) is invertible; need a singular point")
-    # Cyclic shift moving the r leading ones to the trailing positions.
-    sigma = [0] * n
-    for i in range(n):
-        sigma[i] = i + (n - r) if i < r else i - r
-    s_rows = [None] * n
-    for i in range(n):
-        s_rows[sigma[i]] = list(s1.entries[i])
-    t_cols_src = [0] * n
-    for j in range(n):
-        t_cols_src[sigma[j]] = j
-    t_rows = [[row[t_cols_src[j]] for j in range(n)] for row in t1.entries]
-    # det(S*T) = 1: rescale a row of S matching a zero row of the diagonal.
-    delta = det_exact(ExactMatrix(s_rows)) * det_exact(ExactMatrix(t_rows))
-    s_rows[0] = [v / delta for v in s_rows[0]]
-    s = ExactMatrix(s_rows)
-    t = ExactMatrix(t_rows)
-    target = trailing_ones_matrix(n, r)
+    delta = det_exact(s) * det_exact(t)
+    s = ExactMatrix([[v / delta for v in s.entries[0]], *s.entries[1:]])
     if det_exact(s) * det_exact(t) != 1:
         raise ArithmeticError("normal form transforms do not have det(S)*det(T) = 1")
-    if s @ m0 @ t != target:
+    if s @ m0 @ t != trailing_ones_matrix(n, r):
         raise ArithmeticError("normal form construction failed")
-    linear = q.linear_part().left_right_multiply(s, t)
+    linear = AffineMatrixPoly(ExactMatrix.zeros(n, n), [s @ c @ t for c in q.coeffs])
     return SingularNormalForm(s=s, t=t, rank=r, linear=linear)
 
 

@@ -17,8 +17,8 @@ dimension.  Rows and columns each split into two trivial summands and
 one standard one, so there are four types (isotypic_blocks), and the
 inertia is the sum of their inertias times those multiplicities.
 
-The full matrix is assembled from closed-form blocks (hessian_blocks)
-for `hessian --include-matrix`.  Symbolic second derivatives of any
+The full matrix is written from its entry rule (hessian_blocks) for
+`hessian --include-matrix`.  Symbolic second derivatives of any
 polynomial and permanental minors by Ryser's exponential formula serve
 as oracles in tests/perm_oracle.py; tests and the acceptance gate
 require all three routes to agree entrywise, and the Bareiss signature
@@ -46,65 +46,24 @@ def perm_zero_point(d: int) -> Point:
     return tuple(values)
 
 
-def hollow_ones(d: int) -> ExactMatrix:
-    """All-ones d x d matrix with a zero diagonal; signature (1, d-1, 0)."""
-    if d < 1:
-        raise ValueError("need d >= 1")
-    return ExactMatrix([[0 if i == j else 1 for j in range(d)] for i in range(d)])
-
-
-def row_pair_block(d: int) -> ExactMatrix:
-    """Block coupling two distinct rows, neither of them the last: zero
-    diagonal, d-2 in the last row and column, -2 elsewhere."""
-    if d < 2:
-        raise ValueError("need d >= 2")
-    b = [[Fraction(-2)] * d for _ in range(d)]
-    for i in range(d):
-        b[i][i] = Fraction(0)
-        b[i][d - 1] = Fraction(d - 2)
-        b[d - 1][i] = Fraction(d - 2)
-    b[d - 1][d - 1] = Fraction(0)
-    return ExactMatrix(b)
-
-
-def last_row_block(d: int) -> ExactMatrix:
-    """Block coupling an early row with the last row: (d-2) times the
-    hollow all-ones matrix."""
-    if d < 2:
-        raise ValueError("need d >= 2")
-    return hollow_ones(d).scale(d - 2)
-
-
-def _tile(d: int, a: int, b: int) -> Optional[str]:
-    """The closed-form block at block row a, block column b of the Hessian
-    at perm_zero_point(d): None (zero) on the block diagonal, "last_row"
-    where the last row is involved, "row_pair" between two early rows."""
-    if a == b:
-        return None
-    return "last_row" if d - 1 in (a, b) else "row_pair"
-
-
 def hessian_blocks(d: int) -> ExactMatrix:
-    """Closed-form assembly of the permanent Hessian at perm_zero_point(d):
-    (d-3)! times a d x d grid of d x d blocks laid out by _tile.  For d = 2
-    the (d-3)! factor is read as the reciprocal of (d-2)!, keeping every
-    entry finite."""
+    """The permanent Hessian at perm_zero_point(d), entry by entry.  The
+    entry at ((a, i), (b, j)), row a*d + i and column b*d + j, is the
+    permanent of the point's minor without rows a, b and columns i, j: 0
+    when a = b or i = j; (d-2)! when d-1 is among a, b, i, j, as the minor
+    then loses the corner 1 - d; -2 (d-3)! otherwise."""
     if d < 2:
         raise ValueError("need d >= 2")
-    bpair = row_pair_block(d)
-    blast = last_row_block(d)
-    if d == 2:
-        # Entries (d-3)!*(d-2) must equal (d-2)!: both blocks carry a d-2
-        # factor and every surviving entry of the d=2 Hessian equals 1.
-        scale = Fraction(1)
-        bpair = ExactMatrix([[0, 0], [0, 0]])
-        blast = hollow_ones(2)
-    else:
-        scale = Fraction(math.factorial(d - 3))
-    tiles = {None: ExactMatrix.zeros(d, d), "row_pair": bpair, "last_row": blast}
-    tiles = {name: block.scale(scale).entries for name, block in tiles.items()}
-    layout = [[tiles[_tile(d, a, b)] for b in range(d)] for a in range(d)]
-    return ExactMatrix([[v for tile in layout[a] for v in tile[i]] for a in range(d) for i in range(d)])
+    m = d - 1
+    # At d = 2 every nonzero entry meets the last row or column, so the
+    # third value is never read; max keeps its factorial defined there.
+    # ExactMatrix keeps Fraction entries as they are but converts ints.
+    zero, edge, inner = Fraction(0), Fraction(math.factorial(d - 2)), Fraction(-2 * math.factorial(max(d - 3, 0)))
+    return ExactMatrix([
+        [zero if a == b or i == j else edge if m in (a, b, i, j) else inner for b in range(d) for j in range(d)]
+        for a in range(d)
+        for i in range(d)
+    ])
 
 
 def isotypic_blocks(d: int):
@@ -157,9 +116,9 @@ def hessian_report(d: int) -> HessianReport:
     signature_exact(block), by Schur's lemma for the S_{d-1} x S_{d-1}
     symmetry of the point (Serre 1977; Gatermann and Parrilo 2004).  No
     block exceeds 4 x 4, so the cost does not grow with d.
-    block_identity is the _tile of every pair of distinct early rows,
-    which with hollow_ones(d-1) tiles the upper-left d(d-1) principal
-    submatrix; None for d = 2."""
+    block_identity names the block of hessian_blocks(d) that couples two
+    distinct early rows (a, b < d-1): "row_pair" for d >= 3, and None for
+    d = 2, which has one early row."""
     counts = [0, 0, 0]
     for block, multiplicity in isotypic_blocks(d):
         for k, count in enumerate(signature_exact(block)):
@@ -179,7 +138,7 @@ def hessian_report(d: int) -> HessianReport:
         signature=sig,
         mr_bound=Fraction(rank, 2),
         new_bound=new_bound,
-        block_identity=_tile(d, 0, 1) if d >= 3 else None,
+        block_identity="row_pair" if d >= 3 else None,
     )
 
 

@@ -1,14 +1,16 @@
 """Symbolic and Ryser routes to the permanent's Hessian: test oracles for
-the closed-form blocks of `birank.permhess`.
+the entry rule of `birank.permhess.hessian_blocks`.
 
 `hessian` takes exact second partials of any polynomial and evaluates
 them at a point; `hessian_perm_fast` reads each entry of the permanent's
 Hessian at `perm_zero_point(d)` as a permanental minor, by Ryser's
 inclusion-exclusion (`permanent_exact`), exponential in d.
 `differentiate` is the partial derivative the tests differentiate twice
-with.  `signature_by_elimination` is the full route to the Hessian's
-inertia, one Bareiss elimination of the d^2 x d^2 `hessian_blocks(d)`;
-the block route of `hessian_report` is checked against it.
+with, and `hollow_ones` the matrix the Hessian's off-diagonal blocks are
+congruent to, up to sign.  `signature_by_elimination` is the full route
+to the Hessian's inertia, one Bareiss elimination of the d^2 x d^2
+`hessian_blocks(d)`; the block route of `hessian_report` is checked
+against it.
 """
 
 import functools
@@ -17,6 +19,13 @@ from fractions import Fraction
 from birank.exactla import ExactMatrix, Signature, signature_exact
 from birank.permhess import hessian_blocks, perm_zero_point
 from birank.polyring import Point, Polynomial, point
+
+
+def hollow_ones(d: int) -> ExactMatrix:
+    """All-ones d x d matrix with a zero diagonal; signature (1, d-1, 0)."""
+    if d < 1:
+        raise ValueError("need d >= 1")
+    return ExactMatrix([[0 if i == j else 1 for j in range(d)] for i in range(d)])
 
 
 def differentiate(p: Polynomial, index: int) -> Polynomial:

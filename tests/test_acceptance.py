@@ -34,7 +34,7 @@ from birank.exactla import (
     rank_exact,
     signature_exact,
 )
-from birank.permhess import hessian_blocks, hessian_report, hollow_ones, perm_zero_point
+from birank.permhess import hessian_blocks, hessian_report, perm_zero_point
 from birank.polyring import (
     Polynomial,
     homogeneous_part,
@@ -49,7 +49,7 @@ from birank.rankmin import (
 )
 from clow_oracle import clow_sum_bruteforce, det_polynomial, from_entry_polys
 from gram_oracle import check_solution, project_pair_to_z2k
-from perm_oracle import hessian, hessian_perm_fast, signature_by_elimination
+from perm_oracle import hessian, hessian_perm_fast, hollow_ones, signature_by_elimination
 
 
 def report(ok: bool, name: str) -> None:

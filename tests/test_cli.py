@@ -447,6 +447,27 @@ def test_bounds_validates(capsys):
     assert main(["bounds", "--birank", "4", "--k", "0", "--D", "4"]) == 1
 
 
+def test_bounds_refuses_unprintable_fields_in_one_line(capsys):
+    # k = 10^6 used to run for minutes on (2k)!; 1000 and 20000 printed
+    # Python's own float-division and digit-limit messages.
+    for k in ("1309", "20000", "1000000"):
+        assert_one_line_error(capsys, ["bounds", "--birank", "5", "--k", k, "--D", "1"], "--k <= 1308")
+    big = str(10 ** 400)
+    for b, k, d in (("5", "1000", "9"), (big, "1", "4"), ("4", "1", big), ("5", "1308", "9" * 4299)):
+        assert_one_line_error(capsys, ["bounds", "--birank", b, "--k", k, "--D", d], "largest float, about 1.8e308")
+    # The largest k that prints at D = 1, 2, 9 and 100.  Past it, D >= 2
+    # overflows only once the fields are computed: 2 * 321 * 9^321 > 1.8e308.
+    for d, k in ((1, 1308), (2, 1014), (9, 321), (100, 153)):
+        assert main(["bounds", "--birank", "5", "--k", str(k), "--D", str(d)]) == 0
+        capsys.readouterr()
+        limit = "--k <= 1308" if d == 1 else "1.8e308"
+        assert_one_line_error(capsys, ["bounds", "--birank", "5", "--k", str(k + 1), "--D", str(d)], limit)
+    # At k = 1 the fields hold b and D/4: D = 2^1025 prints, 2^1026 does not.
+    assert main(["bounds", "--birank", "5", "--k", "1", "--D", str(2 ** 1025)]) == 0
+    capsys.readouterr()
+    assert_one_line_error(capsys, ["bounds", "--birank", "5", "--k", "1", "--D", str(2 ** 1026)], "1.8e308")
+
+
 def run_python(args, timeout=120):
     # The child imports the same birank as this process, also from a
     # checkout that is not installed.

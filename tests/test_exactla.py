@@ -239,6 +239,7 @@ def test_mixed_denominators_give_fractions():
 def test_decompose_constant_leading_zero_columns():
     # Columns [0, 0, a, b, c] of rank 3: the pivot search swaps the zero
     # columns out one at a time, so t's free columns come out as e1, e0.
+    # The zero rows of s and the free columns of t come first.
     cols = [
         [0] * 5,
         [0] * 5,
@@ -250,20 +251,20 @@ def test_decompose_constant_leading_zero_columns():
     s, t, r = _decompose_constant(m0)
     assert r == 3
     assert s == ExactMatrix([
+        ["-5/6", -4, "5/3", 1, 0],
+        ["-1/9", 2, "-7/9", 0, 1],
         [0, 2, 0, 0, 0],
         [0, 0, "1/3", 0, 0],
         ["1/2", 0, 0, 0, 0],
-        ["-5/6", -4, "5/3", 1, 0],
-        ["-1/9", 2, "-7/9", 0, 1],
     ])
     assert t == ExactMatrix([
+        [0, 1, 0, 0, 0],
+        [1, 0, 0, 0, 0],
+        [0, 0, 1, -2, "2/3"],
+        [0, 0, 0, 1, "-1/3"],
         [0, 0, 0, 0, 1],
-        [0, 0, 0, 1, 0],
-        [1, -2, "2/3", 0, 0],
-        [0, 1, "-1/3", 0, 0],
-        [0, 0, 1, 0, 0],
     ])
-    assert s @ m0 @ t == ExactMatrix.diagonal([1, 1, 1, 0, 0])
+    assert s @ m0 @ t == ExactMatrix.diagonal([0, 0, 1, 1, 1])
 
 
 def test_solve_linear():
@@ -467,7 +468,8 @@ def nonsingular_normal_form(q, x0):
     alpha = det_exact(m0)
     if not alpha:
         raise ValueError("Q(x0) is singular; need an invertible point")
-    linear = q.linear_part().left_right_multiply(inverse_exact(m0), ExactMatrix.identity(q.n))
+    inverse = inverse_exact(m0)
+    linear = AffineMatrixPoly(ExactMatrix.zeros(q.n, q.n), [inverse @ c for c in q.coeffs])
     return linear, alpha
 
 

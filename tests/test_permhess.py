@@ -15,12 +15,9 @@ from birank.permhess import (
     HessianReport,
     hessian_blocks,
     hessian_report,
-    hollow_ones,
     isotypic_blocks,
-    last_row_block,
     perm_zero_point,
     report_to_json,
-    row_pair_block,
 )
 from birank.polyring import Polynomial, perm_poly, point
 from matrix_oracle import kron
@@ -28,6 +25,7 @@ from perm_oracle import (
     differentiate,
     hessian,
     hessian_perm_fast,
+    hollow_ones,
     permanent_exact,
     signature_by_elimination,
 )
@@ -114,9 +112,17 @@ def test_three_hessian_routes_agree():
         assert blocks == symbolic
 
 
+def block(d, a, b):
+    # Block (a, b) of hessian_blocks(d), in units of (d-3)!: (0, 1) couples
+    # two early rows, (0, d-1) an early row with the last.
+    h = hessian_blocks(d)
+    unit = math.factorial(d - 3)
+    return ExactMatrix([[h[a * d + i, b * d + j] / unit for j in range(d)] for i in range(d)])
+
+
 def test_block_values_d3():
-    assert row_pair_block(3) == ExactMatrix([[0, -2, 1], [-2, 0, 1], [1, 1, 0]])
-    assert last_row_block(3) == hollow_ones(3)
+    assert block(3, 0, 1) == ExactMatrix([[0, -2, 1], [-2, 0, 1], [1, 1, 0]])
+    assert block(3, 0, 2) == hollow_ones(3)
 
 
 def test_hollow_ones_signature():
@@ -129,13 +135,13 @@ def test_block_signatures_match_hollow_ones():
     # +hollow_ones respectively.
     for d in range(3, 7):
         s = signature_exact(hollow_ones(d))
-        assert signature_exact(row_pair_block(d)) == Signature(s.n_minus, s.n_plus, s.n_zero)
-        assert signature_exact(last_row_block(d)) == s
+        assert signature_exact(block(d, 0, 1)) == Signature(s.n_minus, s.n_plus, s.n_zero)
+        assert signature_exact(block(d, 0, d - 1)) == s
 
 
 def test_kron_hollow_row_pair_signature():
     for d in (3, 4, 5):
-        k = kron(hollow_ones(d - 1), row_pair_block(d))
+        k = kron(hollow_ones(d - 1), block(d, 0, 1))
         sig = signature_exact(k)
         assert sig == Signature(2 * d - 3, (d - 2) * (d - 1) + 1, 0)
 
