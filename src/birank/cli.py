@@ -19,12 +19,13 @@ canonical_json produces exactly those bytes, faster, through the stdlib's
 C encoder.  Exit codes: 0 success or accepted certificate, 2 rejected
 certificate, 1 any error.
 
-Output is written in chunks, a batch of records of each record list at a
-time, so a 12.8 MB system is never held as one text.  The --out file is
-opened only once the first chunk is encoded: an object that fails there,
-such as a NaN in a small report, writes nothing.  A failure after the
-first chunk leaves a truncated --out file (or stdout) and exits 1; no
-subcommand's large output holds floats.
+Output is written in chunks, after each batch of records of a list or
+iterator, and a system's equations are made from its anti-chain rule as
+they are written, so the 12.8 MB z2k system is never held as terms or as
+one text.  The --out file is opened only at the first chunk: an object
+that fails before it, such as a NaN in a small report, writes nothing.
+A failure after it leaves a truncated --out file (or stdout) and exits
+1; no subcommand's large output holds floats.
 
 Only certify computes in floating point, so numpy is loaded only when
 certify runs: its handler imports birank.certify, and no other
@@ -37,8 +38,9 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Iterator
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
 from operator import eq
 from typing import Tuple
@@ -129,26 +131,15 @@ def _column(values, newline: str):
 
 def _write(obj, newline: str, out: list, flush) -> None:
     # newline is "\n" plus the indent of the line that obj starts on.
-    # flush is called after each batch of a record list.
+    # flush is called after each batch of records of a list.
     shape = _column((obj,), newline)
     if shape:
         opening, (text,), closing = shape
         out += opening, text, closing
         return
     inner = newline + "  "
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-        elif len(obj) > 1 and set(map(type, obj)) == {dict} and obj[0] and set(map(type, obj[0])) == {str}:
-            _write_records(obj, newline, out, flush)
-        else:
-            out.append("[")
-            sep = inner
-            for item in obj:
-                out.append(sep)
-                _write(item, inner, out, flush)
-                sep = "," + inner
-            out += newline, "]"
+    if isinstance(obj, (list, tuple, Iterator)):
+        _write_records(obj, newline, out, flush)
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
@@ -167,24 +158,27 @@ def _write(obj, newline: str, out: list, flush) -> None:
 
 
 def _write_records(records, newline: str, out: list, flush) -> None:
-    """A list of dicts whose first one has only str keys, a batch of
-    records at a time.  A batch whose records all have the first one's
-    keys, and whose every column _column can write, is written column by
-    column; any other batch record by record."""
+    """The items of records, a list, tuple or iterator, as a JSON array, a
+    batch of _BATCH items at a time.  A batch of records, dicts whose first
+    one has only str keys, is followed by a flush, and when all have its
+    keys and _column can write every column, it is written column by
+    column; any other batch is written item by item."""
     inner = newline + "  "
-    keys = records[0].keys()
     sep = "[" + inner
-    for start in range(0, len(records), _BATCH):
-        batch = records[start:start + _BATCH]
-        same_keys = all(map(eq, repeat(keys), map(dict.keys, batch)))
-        if not (same_keys and _write_columns(batch, sep, newline, out)):
+    records = iter(records)
+    while batch := list(islice(records, _BATCH)):
+        keys = batch[0].keys() if set(map(type, batch)) == {dict} else ()
+        dicts = keys and set(map(type, keys)) == {str}
+        if not (dicts and all(map(eq, repeat(keys), map(dict.keys, batch)))
+                and _write_columns(batch, sep, newline, out)):
             for record in batch:
                 out.append(sep)
                 _write(record, inner, out, flush)
                 sep = "," + inner
         sep = "," + inner
-        flush()
-    out += newline, "]"
+        if dicts:
+            flush()
+    out.append("[]" if sep[0] == "[" else newline + "]")
 
 
 def _write_columns(batch, sep: str, newline: str, out: list) -> bool:
@@ -232,8 +226,8 @@ def _emit(obj, out_path) -> None:
 def _load_json(path):
     try:
         with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+            return json.load(fh, parse_int=polyring.int_from_json)
+    except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read JSON from {path}: {exc}")
     except RecursionError:
         raise UsageError(f"cannot read JSON from {path}: nested too deeply")
@@ -454,9 +448,9 @@ def cmd_certify(args: argparse.Namespace) -> int:
     return 0 if cert.accepted else 2
 
 
-# The largest --k of a printable bounds report: at D = 1 the generic floor's
-# denominator 2 (2k)! / k! passes Python's 4300-digit limit on printing an
-# integer above it, and every D >= 2 overflows a float field before it.
+# The largest --k of a bounds report that birank would read back: at D = 1
+# the generic floor's denominator 2 (2k)! / k! passes polyring.MAX_DIGITS
+# digits above it, and every D >= 2 overflows a float field before it.
 BOUNDS_MAX_K = 1308
 
 
@@ -565,6 +559,10 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
+    # Lift CPython's int/str digit limit (PYTHONINTMAXSTRDIGITS), so that no
+    # output depends on it; integer inputs have polyring.MAX_DIGITS instead.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -105,9 +105,6 @@ class Polynomial:
         degrees = {sum(e) for e in self.terms}
         return len(degrees) <= 1
 
-    def coefficient(self, exps: Exponent) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
-
     def sorted_terms(self) -> list:
         return sorted(self.terms.items(), key=lambda item: grlex_key(item[0]))
 
@@ -305,12 +302,21 @@ def fraction_to_json(value: Fraction) -> dict:
     return {"num": str(value.numerator), "den": str(value.denominator)}
 
 
+# The most digits birank reads in one integer: int() of a decimal string is
+# quadratic in its length.  On CPython 3.11 (x86-64) 4,300 digits take 0.13
+# ms, 29 ns a digit, and 10^5 digits 57 ms.  The value is CPython's default
+# limit, which the CLI lifts so that the interpreter's setting changes no output.
+MAX_DIGITS = 4300
+
+
 def int_from_json(value) -> int:
-    """An integer field of JSON input, given as an int or a decimal string.
-    Floats and booleans are refused: int() would truncate 2.5 to 2 and
-    read true as 1."""
+    """An integer field of JSON input, an int or a decimal string of at most
+    MAX_DIGITS digits; the CLI's json.load reads every integer through it.
+    Floats and booleans are refused: int() would truncate 2.5 to 2."""
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise ValueError(f"not an integer: {value!r}")
+    if isinstance(value, str) and len(value.strip().lstrip("+-")) > MAX_DIGITS:
+        raise ValueError(f"an integer has more than {MAX_DIGITS} digits, the cap on integer input")
     return int(value)
 
 

@@ -7,16 +7,17 @@ equation per degree-2k monomial: the entries of Q along each anti-chain
 {(I, J): I + J = H} must sum to the coefficient of x^H.  The minimum rank
 of a solution is the bi-polynomial rank of p; the minimum over symmetric
 solutions and over differences of two PSD matrices sandwich it.  This
-module builds those systems explicitly (including a projected multilinear
-variant tied to the shifted permanent), writes them as JSON, and computes
-sound lower/upper bounds for the minimum rank over rational solutions.
-Each unknown enters only the equation of its anti-chain, so the solution
-set is read off the equations in closed form, with no elimination; a
-hand-built system that puts an unknown in two equations is refused.
+module builds those systems (including a projected multilinear variant
+tied to the shifted permanent), writes them as JSON, and computes sound
+lower/upper bounds for the minimum rank over rational solutions.  Each
+unknown enters only the equation of its anti-chain, so the solution set
+is read off the equations in closed form, with no elimination.
 
-Equations store their coefficients entry by entry, never folded into an
-upper triangle, as the ints 1 and -1 (-1 only on the second block of a
-pair), so the JSON writer passes them through unchanged.
+A system stores its basis and each equation's monomial and rhs, and
+equation_terms writes the terms by one anti-chain rule when they are
+read: entry by entry, never folded into an upper triangle, with the int
+coefficients 1 and -1 (-1 only on a pair's second block), which the
+JSON writer passes through unchanged.
 """
 
 from __future__ import annotations
@@ -27,30 +28,25 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from birank.exactla import ExactMatrix, _eliminate, det_integer, rank_integer, signature_lower_bound
 from birank.polyring import Exponent, Polynomial, fraction_to_json, monomial_index_set
 
 
 @dataclass(frozen=True)
-class LinearEquation:
-    """sum of coef * M_block[i][j] over terms == rhs; every coef is the
-    int 1 or -1."""
-
-    terms: Tuple[Tuple[int, int, int, int], ...]
-    rhs: Fraction
-
-
-@dataclass(frozen=True)
 class ConstraintSystem:
+    """equations holds one (H, rhs) pair per equation, the monomial H as
+    its sorted variable indices (x0^2 x2 is (0, 0, 2)): the entries on the
+    anti-chain of H, combined as equation_terms writes, sum to rhs."""
+
     size: int
     pair: bool
     symmetric: bool
     num_vars: int
     half_degree: int
     basis: Tuple[Exponent, ...]
-    equations: Tuple[LinearEquation, ...]
+    equations: Tuple[Tuple[Tuple[int, ...], Fraction], ...]
     scale: Optional[Fraction] = None
 
     @property
@@ -58,7 +54,29 @@ class ConstraintSystem:
         return 2 if self.pair else 1
 
 
-def _require_even_form(p: Polynomial) -> int:
+def _variables(exps: Exponent) -> Tuple[int, ...]:
+    # The monomial with exponents exps as its sorted variable indices.
+    return tuple(v for v, e in enumerate(exps) for _ in range(e))
+
+
+def equation_terms(cs: ConstraintSystem):
+    """Each equation's terms (block, i, j, coef): for every entry (i, j)
+    with basis[i] + basis[j] = H, in the order of i, (0, i, j, 1) and, on
+    a pair, (1, i, j, -1) (Choi, Lam and Reznick 1995).
+
+    combinations(H, k) lists the halves of H in basis order, and the
+    complement of the l-th lies at the mirrored place, so zipping the list
+    with its reverse pairs each half with its complement; the dict keeps a
+    half repeated by a repeated variable once."""
+    index = {_variables(b): i for i, b in enumerate(cs.basis)}
+    k = cs.half_degree
+    blocks = ((0, 1), (1, -1)) if cs.pair else ((0, 1),)
+    for h, _ in cs.equations:
+        halves = [index[half] for half in itertools.combinations(h, k)]
+        yield tuple([(b, i, j, c) for i, j in dict(zip(halves, reversed(halves))).items() for b, c in blocks])
+
+
+def _gram_system(p: Polynomial, pair: bool, symmetric: bool) -> ConstraintSystem:
     if p.is_zero():
         raise ValueError("cannot build a Gram system for the zero polynomial")
     if not p.is_homogeneous():
@@ -66,54 +84,28 @@ def _require_even_form(p: Polynomial) -> int:
     deg = p.degree()
     if deg % 2 or deg == 0:
         raise ValueError(f"degree {deg} is not even and positive")
-    return deg // 2
-
-
-def _anti_chains(basis):
-    # For each degree-2k monomial H, the ordered index pairs with
-    # basis[i] + basis[j] = H.
-    groups: Dict[Exponent, List[Tuple[int, int]]] = {}
-    for i, bi in enumerate(basis):
-        for j, bj in enumerate(basis):
-            h = tuple(a + b for a, b in zip(bi, bj))
-            groups.setdefault(h, []).append((i, j))
-    return groups
-
-
-def _gram_equations(p: Polynomial, k: int, pair: bool):
+    k = deg // 2
     basis = tuple(monomial_index_set(p.num_vars, k))
-    groups = _anti_chains(basis)
-    equations = []
-    for h in monomial_index_set(p.num_vars, 2 * k):
-        terms = []
-        for i, j in groups.get(h, []):
-            terms.append((0, i, j, 1))
-            if pair:
-                terms.append((1, i, j, -1))
-        equations.append(LinearEquation(terms=tuple(terms), rhs=p.coefficient(h)))
-    return basis, tuple(equations)
+    coefficients = {_variables(exps): c for exps, c in p.terms.items()}
+    zero = Fraction(0)
+    equations = tuple((h, coefficients.get(h, zero))
+                      for h in itertools.combinations_with_replacement(range(p.num_vars), 2 * k))
+    return ConstraintSystem(
+        size=len(basis), pair=pair, symmetric=symmetric, num_vars=p.num_vars,
+        half_degree=k, basis=basis, equations=equations,
+    )
 
 
 def build_affine_system(p: Polynomial) -> ConstraintSystem:
     """All matrices Q with v(x)^T Q v(x) = p: minimum rank over the
     solutions equals the bi-polynomial rank of p."""
-    k = _require_even_form(p)
-    basis, equations = _gram_equations(p, k, pair=False)
-    return ConstraintSystem(
-        size=len(basis), pair=False, symmetric=False, num_vars=p.num_vars,
-        half_degree=k, basis=basis, equations=equations,
-    )
+    return _gram_system(p, pair=False, symmetric=False)
 
 
 def build_sym_system(p: Polynomial) -> ConstraintSystem:
     """Same equations restricted to symmetric Q; half the minimum rank here
     lower-bounds the bi-polynomial rank."""
-    k = _require_even_form(p)
-    basis, equations = _gram_equations(p, k, pair=False)
-    return ConstraintSystem(
-        size=len(basis), pair=False, symmetric=True, num_vars=p.num_vars,
-        half_degree=k, basis=basis, equations=equations,
-    )
+    return _gram_system(p, pair=False, symmetric=True)
 
 
 def build_psd_pair_system(p: Polynomial) -> ConstraintSystem:
@@ -121,23 +113,12 @@ def build_psd_pair_system(p: Polynomial) -> ConstraintSystem:
     v^T (Q_plus - Q_minus) v = p; restricting both to PSD and minimizing
     rank(Q_plus) + rank(Q_minus) upper-bounds twice the bi-polynomial rank
     and lower-bounds it."""
-    k = _require_even_form(p)
-    basis, equations = _gram_equations(p, k, pair=True)
-    return ConstraintSystem(
-        size=len(basis), pair=True, symmetric=True, num_vars=p.num_vars,
-        half_degree=k, basis=basis, equations=equations,
-    )
+    return _gram_system(p, pair=True, symmetric=True)
 
 
 def multilinear_index_set(num_vars: int, k: int) -> list:
     """All 0/1 exponent tuples of weight k, in graded-lex order."""
-    out = []
-    for support in itertools.combinations(range(num_vars), k):
-        exps = [0] * num_vars
-        for pos in support:
-            exps[pos] = 1
-        out.append(tuple(exps))
-    return out
+    return [tuple(int(v in s) for v in range(num_vars)) for s in itertools.combinations(range(num_vars), k)]
 
 
 def build_z2k(d: int, k: int) -> ConstraintSystem:
@@ -159,28 +140,14 @@ def build_z2k(d: int, k: int) -> ConstraintSystem:
     m = d - 1
     num_vars = m * m
     basis = tuple(multilinear_index_set(num_vars, k))
-    # Monomials are indexed by their supports, enumerated in the basis order.
-    index_of = {s: i for i, s in enumerate(itertools.combinations(range(num_vars), k))}
     one, zero = Fraction(1), Fraction(0)
-    equations = []
-    for support in itertools.combinations(range(num_vars), 2 * k):
-        lefts = list(itertools.combinations(support, k))
-        terms = []
-        # Complementing k-subsets reverses their lexicographic order, so
-        # the reversed list holds each left half's complement.
-        for left, right in zip(lefts, reversed(lefts)):
-            i = index_of[left]
-            j = index_of[right]
-            terms.append((0, i, j, 1))
-            terms.append((1, i, j, -1))
-        # A partial permutation uses distinct rows and distinct columns.
-        partial = (len({p // m for p in support}) == 2 * k
-                   and len({p % m for p in support}) == 2 * k)
-        equations.append(LinearEquation(terms=tuple(terms), rhs=one if partial else zero))
+    # A partial permutation uses distinct rows and distinct columns.
+    equations = tuple((s, one if len({p // m for p in s}) == len({p % m for p in s}) == 2 * k else zero)
+                      for s in itertools.combinations(range(num_vars), 2 * k))
     scale = Fraction(-1, 2 * k * math.factorial(d - 2 * k - 1))
     return ConstraintSystem(
         size=len(basis), pair=True, symmetric=True, num_vars=num_vars,
-        half_degree=k, basis=basis, equations=tuple(equations), scale=scale,
+        half_degree=k, basis=basis, equations=equations, scale=scale,
     )
 
 
@@ -211,30 +178,20 @@ def _matrices_from_vector(grids, vec) -> Tuple[ExactMatrix, ...]:
     return tuple(ExactMatrix([[vec[c] for c in row] for row in grid]) for grid in grids)
 
 
-def _gram_chains(cs: ConstraintSystem):
-    """The layout's grids and unknown count, and (chain, rhs) for each
-    equation with a nonzero coefficient: its chain is its (column, summed
-    coefficient) nonzeros in column order.  The chains must be disjoint,
-    as every builder's are (entry (i, j) lies on one anti-chain only): an
-    unknown in two equations raises ValueError, as does an empty equation
-    with a nonzero rhs (infeasible)."""
-    grids, count = _variable_layout(cs)
+def _gram_chains(cs: ConstraintSystem, grids):
+    """(chain, rhs) for each equation: the (column, summed coefficient)
+    pairs of its terms on grids, in column order.  Entry (i, j) lies on
+    the anti-chain of basis[i] + basis[j] only, so the chains are
+    disjoint, and every coefficient is 1 or 2 on block 0, -1 or -2 on
+    block 1 (2 where symmetric (i, j) and (j, i) share a column)."""
     chains = []
-    for eq in cs.equations:
+    for terms, (_, rhs) in zip(equation_terms(cs), cs.equations):
         coefs: Dict[int, int] = {}
-        for block, i, j, coef in eq.terms:
+        for block, i, j, coef in terms:
             c = grids[block][i][j]
             coefs[c] = coefs.get(c, 0) + coef
-        chain = sorted((c, v) for c, v in coefs.items() if v)
-        if not chain:
-            if eq.rhs:
-                raise ValueError("constraint system is infeasible")
-            continue
-        chains.append((chain, eq.rhs))
-    columns = [c for chain, _ in chains for c, _ in chain]
-    if len(set(columns)) < len(columns):
-        raise ValueError("an unknown appears in two equations; the anti-chains must be disjoint")
-    return grids, count, chains
+        chains.append((sorted(coefs.items()), rhs))
+    return chains
 
 
 def _chain_solution(count, chains):
@@ -494,10 +451,11 @@ def minrank_interval(cs: ConstraintSystem, budget: int = 6, seed: int = 0) -> Mi
     solutions of the system (for pair systems, the minimum of the summed
     block ranks; PSD constraints are not imposed here).
 
-    The solution set is read off the anti-chains in closed form.  Raises
-    ValueError when they are not disjoint, when the system is infeasible,
-    or when the free dimension (unknowns minus nonempty chains) exceeds
-    budget, which is checked before any direction is built.
+    The solution set is read off the anti-chains in closed form.  Each
+    equation's chain holds a nonzero coefficient in unknowns of its own,
+    so it fixes one unknown, and the free dimension is the number of
+    unknowns minus the number of equations.  Raises ValueError when that
+    exceeds budget, which is checked before any chain is built.
 
     The upper bound is the smallest rank found by exact sampling of the
     solution space (origin, axis sweeps, a small grid in dimension two,
@@ -541,11 +499,11 @@ def minrank_interval(cs: ConstraintSystem, budget: int = 6, seed: int = 0) -> Mi
     The common rational roots of those minors are the rational roots of
     their gcd, found by exact bisection without factoring a coefficient.
     """
-    grids, count, chains = _gram_chains(cs)
-    f = count - len(chains)
+    grids, count = _variable_layout(cs)
+    f = count - len(cs.equations)
     if f > budget:
         raise ValueError(f"free dimension {f} exceeds budget {budget}")
-    particular, directions = _chain_solution(count, chains)
+    particular, directions = _chain_solution(count, _gram_chains(cs, grids))
 
     vector_at = _integer_solution(particular, directions)
     rank_at = _sample_ranker(grids, vector_at)
@@ -603,7 +561,7 @@ def minrank_interval(cs: ConstraintSystem, budget: int = 6, seed: int = 0) -> Mi
     # Lower bound routes.
     lower = 0
     lower_method = "trivial"
-    if any(eq.rhs for eq in cs.equations):
+    if any(rhs for _, rhs in cs.equations):
         lower, lower_method = 1, "nonzero-form"
 
     if not cs.symmetric and not cs.pair and _skew_directions(grids[0], directions):
@@ -667,10 +625,31 @@ def minrank_interval(cs: ConstraintSystem, budget: int = 6, seed: int = 0) -> Mi
 # JSON serialization (triplet format).
 
 
+class _Records(list):
+    """A one-shot iterator over count records, each made as it is read.  A
+    list subclass, as json.dumps reads one through iter(): it stores none."""
+
+    def __init__(self, records, count: int):
+        self._records, self._count = records, count
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        return next(self._records)
+
+
 def system_to_json(cs: ConstraintSystem) -> dict:
+    """The system in the triplet format.  Its "eqs" records are made from
+    equation_terms as they are written, so one write consumes them."""
     # One rhs object per distinct value, shared by its equations: z2k's
     # 12,650 equations at d = 6 have two.
-    rhs = {value: fraction_to_json(value) for value in {eq.rhs for eq in cs.equations}}
+    rhs = {value: fraction_to_json(value) for value in {value for _, value in cs.equations}}
+    records = ({"terms": terms, "rhs": rhs[value]}
+               for terms, (_, value) in zip(equation_terms(cs), cs.equations))
     return {
         "n": cs.size,
         "pair": cs.pair,
@@ -679,5 +658,5 @@ def system_to_json(cs: ConstraintSystem) -> dict:
         "k": cs.half_degree,
         "scale": fraction_to_json(cs.scale) if cs.scale is not None else None,
         "basis": cs.basis,
-        "eqs": [{"terms": eq.terms, "rhs": rhs[eq.rhs]} for eq in cs.equations],
+        "eqs": _Records(records, len(cs.equations)),
     }

@@ -1,5 +1,13 @@
-"""Gram-solution checks, the dense Gram solver, the z2k projection and
-the constraint-system reader: test oracles for `birank.rankmin`.
+"""Gram-solution checks, the dense Gram solver, the pairwise term builder,
+the z2k projection and the constraint-system reader: test oracles for
+`birank.rankmin`.
+
+`reference_terms` writes each equation's terms as the builders stored
+them before `equation_terms` wrote them from one anti-chain rule: from
+the anti-chains of all index pairs, and for z2k from its support loop.
+`term_chains` is the chain pass of `minrank_interval` on equations given
+as term lists, with the two refusals the rule makes unreachable: an
+unknown in two equations, and an empty equation with a nonzero rhs.
 
 `gram_expand` multiplies a candidate solution back out and
 `check_solution` evaluates the equations at it; the tests require the
@@ -22,7 +30,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 from birank.exactla import ExactMatrix, _eliminate, _integer_rows, det_exact, rank_exact
 from birank.polyring import (
@@ -35,13 +43,14 @@ from birank.polyring import (
 )
 from birank.rankmin import (
     ConstraintSystem,
-    LinearEquation,
     _integer_solution,
     _matrices_from_vector,
     _sample_ranker,
     _sample_values,
     _variable_layout,
+    _variables,
     build_z2k,
+    equation_terms,
 )
 from matrix_oracle import submatrix
 
@@ -127,28 +136,110 @@ def gram_expand(cs: ConstraintSystem, matrices) -> Polynomial:
     return Polynomial(cs.num_vars, acc)
 
 
+def term_equations(cs: ConstraintSystem) -> list:
+    """(terms, rhs) for each equation of cs."""
+    return [(terms, rhs) for terms, (_, rhs) in zip(equation_terms(cs), cs.equations)]
+
+
 def check_solution(cs: ConstraintSystem, matrices) -> bool:
     matrices = _as_blocks(cs, matrices)
-    for eq in cs.equations:
+    for terms, rhs in term_equations(cs):
         total = Fraction(0)
-        for block, i, j, coef in eq.terms:
+        for block, i, j, coef in terms:
             total += coef * matrices[block][i, j]
-        if total != eq.rhs:
+        if total != rhs:
             return False
     return True
 
 
-def _linear_system(cs: ConstraintSystem):
-    grids, count = _variable_layout(cs)
+def dense_rows(grids, count, equations):
+    """Dense Fraction rows and right-hand sides of equations given as
+    (terms, rhs), on the columns of grids."""
     rows = []
     rhs = []
-    for eq in cs.equations:
+    for terms, value in equations:
         row = [Fraction(0)] * count
-        for block, i, j, coef in eq.terms:
+        for block, i, j, coef in terms:
             row[grids[block][i][j]] += coef
         rows.append(row)
-        rhs.append(eq.rhs)
-    return grids, rows, rhs
+        rhs.append(value)
+    return rows, rhs
+
+
+def _linear_system(cs: ConstraintSystem):
+    grids, count = _variable_layout(cs)
+    return (grids, *dense_rows(grids, count, term_equations(cs)))
+
+
+def term_chains(grids, equations):
+    """The chains of _gram_chains for equations given as (terms, rhs): a
+    chain is an equation's (column, summed coefficient) nonzeros in column
+    order.  An equation with no nonzero coefficient is dropped when its
+    rhs is 0, and raises ValueError (infeasible) otherwise; an unknown in
+    two chains raises ValueError, since the closed form needs disjoint
+    chains."""
+    chains = []
+    for terms, rhs in equations:
+        coefs: Dict[int, int] = {}
+        for block, i, j, coef in terms:
+            c = grids[block][i][j]
+            coefs[c] = coefs.get(c, 0) + coef
+        chain = sorted((c, v) for c, v in coefs.items() if v)
+        if not chain:
+            if rhs:
+                raise ValueError("constraint system is infeasible")
+            continue
+        chains.append((chain, rhs))
+    columns = [c for chain, _ in chains for c, _ in chain]
+    if len(set(columns)) < len(columns):
+        raise ValueError("an unknown appears in two equations; the anti-chains must be disjoint")
+    return chains
+
+
+def _anti_chains(basis):
+    # For each degree-2k monomial H, the ordered index pairs with
+    # basis[i] + basis[j] = H.
+    groups: Dict[Exponent, List[Tuple[int, int]]] = {}
+    for i, bi in enumerate(basis):
+        for j, bj in enumerate(basis):
+            h = tuple(a + b for a, b in zip(bi, bj))
+            groups.setdefault(h, []).append((i, j))
+    return groups
+
+
+def _z2k_terms(num_vars: int, k: int):
+    # Monomials are indexed by their supports, enumerated in the basis order.
+    index_of = {s: i for i, s in enumerate(itertools.combinations(range(num_vars), k))}
+    for support in itertools.combinations(range(num_vars), 2 * k):
+        lefts = list(itertools.combinations(support, k))
+        terms = []
+        # Complementing k-subsets reverses their lexicographic order, so
+        # the reversed list holds each left half's complement.
+        for left, right in zip(lefts, reversed(lefts)):
+            i = index_of[left]
+            j = index_of[right]
+            terms.append((0, i, j, 1))
+            terms.append((1, i, j, -1))
+        yield tuple(terms)
+
+
+def reference_terms(cs: ConstraintSystem) -> list:
+    """Each equation's terms as the builders stored them: z2k (the system
+    with a scale) from its support loop, every other system from the
+    anti-chains of its basis, one equation per degree-2k monomial in
+    graded-lex order."""
+    if cs.scale is not None:
+        return list(_z2k_terms(cs.num_vars, cs.half_degree))
+    groups = _anti_chains(cs.basis)
+    equations = []
+    for h in monomial_index_set(cs.num_vars, 2 * cs.half_degree):
+        terms = []
+        for i, j in groups.get(h, []):
+            terms.append((0, i, j, 1))
+            if cs.pair:
+                terms.append((1, i, j, -1))
+        equations.append(tuple(terms))
+    return equations
 
 
 def solve_linear(rows, rhs):
@@ -202,27 +293,37 @@ def _coef_from_json(obj) -> int:
 
 
 def system_from_json(obj) -> ConstraintSystem:
+    """The system of the triplet layout.  Each equation's monomial is read
+    off its first term, basis[i] + basis[j], and its terms must be those
+    equation_terms writes for it."""
     required = {"n", "pair", "eqs"}
     if not isinstance(obj, dict) or not required <= set(obj):
         raise ValueError("constraint system object needs 'n', 'pair', 'eqs'")
     basis = tuple(tuple(int(e) for e in b) for b in obj.get("basis", []))
-    equations = []
+    read = []
     for eq in obj["eqs"]:
         terms = tuple(
             (int(t[0]), int(t[1]), int(t[2]), _coef_from_json(t[3])) for t in eq["terms"]
         )
-        equations.append(LinearEquation(terms=terms, rhs=fraction_from_json(eq["rhs"])))
+        if not terms:
+            raise ValueError("an equation has no terms")
+        _, i, j, _ = terms[0]
+        h = tuple(sorted(_variables(basis[i]) + _variables(basis[j])))
+        read.append((terms, (h, fraction_from_json(eq["rhs"]))))
     scale = obj.get("scale")
-    return ConstraintSystem(
+    cs = ConstraintSystem(
         size=int(obj["n"]),
         pair=bool(obj["pair"]),
         symmetric=bool(obj.get("symmetric", False)),
         num_vars=int(obj.get("num_vars", len(basis[0]) if basis else 0)),
         half_degree=int(obj.get("k", 1)),
         basis=basis,
-        equations=tuple(equations),
+        equations=tuple(equation for _, equation in read),
         scale=fraction_from_json(scale) if scale else None,
     )
+    if list(equation_terms(cs)) != [terms for terms, _ in read]:
+        raise ValueError("an equation's terms are not the anti-chain of its monomial")
+    return cs
 
 
 def rational_roots_by_divisors(coeffs) -> list:

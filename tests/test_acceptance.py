@@ -45,6 +45,7 @@ from birank.rankmin import (
     build_affine_system,
     build_psd_pair_system,
     build_z2k,
+    equation_terms,
     minrank_interval,
 )
 from clow_oracle import clow_sum_bruteforce, det_polynomial, from_entry_polys
@@ -216,9 +217,9 @@ def test_criterion_08_minrank_sandwich():
 def test_criterion_09_multilinear_system():
     cs = build_z2k(3, 1)
     ok = len(cs.equations) == 6
-    ones = [eq for eq in cs.equations if eq.rhs == 1]
+    ones = [rhs for _, rhs in cs.equations if rhs == 1]
     ok = ok and len(ones) == 2
-    coefs = {c for eq in cs.equations for _, _, _, c in eq.terms}
+    coefs = {c for terms in equation_terms(cs) for _, _, _, c in terms}
     ok = ok and coefs <= {Fraction(1), Fraction(-1)}
     half = hessian_perm_fast(3).scale(Fraction(1, 2))
     zero = ExactMatrix.zeros(9, 9)

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -6,13 +7,14 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from collections.abc import Iterator
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import birank
-from birank import cli, rankmin
+from birank import cli, polyring, rankmin
 from birank.cli import canonical_json, main
 from birank.exactla import AffineMatrixPoly, ExactMatrix, affine_to_json
 from birank.polyring import Polynomial, poly_to_json
@@ -426,6 +428,22 @@ def test_zero_denominator_is_one_line_error(tmp_path, capsys):
         assert_one_line_error(capsys, argv, "rational 1/0 has a zero denominator")
 
 
+def test_integer_input_above_the_digit_cap_is_one_line_error(tmp_path, capsys):
+    # The interpreter's own digit limit used to decide: a 5,000-digit
+    # coefficient exited 1 with Python's message by default and was read
+    # under PYTHONINTMAXSTRDIGITS=0.  The cap applies to JSON numbers and to
+    # decimal strings alike, and a form at the cap is read.
+    digits = "7" * polyring.MAX_DIGITS
+    for name, num in (("string", f'"{digits}7"'), ("number", digits + "7"), ("negative", f'"-{digits}7"')):
+        path = tmp_path / f"{name}.json"
+        path.write_text('{"num_vars": 2, "terms": [{"exp": [2, 0], "num": ' + num + ', "den": "1"}]}')
+        assert_one_line_error(capsys, ["brank-interval", "--poly", str(path)], "more than 4300 digits")
+    path = tmp_path / "at-cap.json"
+    path.write_text('{"num_vars": 2, "terms": [{"exp": [2, 0], "num": -' + digits + ', "den": "1"}]}')
+    assert main(["brank-interval", "--poly", str(path)]) == 0
+    capsys.readouterr()
+
+
 def test_non_utf8_file_names_its_path(tmp_path, capsys):
     path = tmp_path / "latin1.json"
     path.write_bytes(b'{"vertices": [[[1.0]]], "note": "\xff"}')
@@ -468,16 +486,16 @@ def test_bounds_refuses_unprintable_fields_in_one_line(capsys):
     assert_one_line_error(capsys, ["bounds", "--birank", "5", "--k", "1", "--D", str(2 ** 1026)], "1.8e308")
 
 
-def run_python(args, timeout=120):
+def run_python(args, timeout=120, **env):
     # The child imports the same birank as this process, also from a
-    # checkout that is not installed.
+    # checkout that is not installed; env adds environment variables.
     src = os.path.dirname(os.path.dirname(birank.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *args],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=dict(os.environ, PYTHONPATH=path, **env),
         timeout=timeout,
     )
 
@@ -650,6 +668,18 @@ def test_golden_stdout_digests(tmp_path, capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_DIGESTS[name], name
 
 
+def test_golden_digests_do_not_depend_on_interpreter_settings(tmp_path):
+    # bounds-k300 prints integers of up to 723 digits, past a digit limit
+    # of 640; the two builds and the interval iterate over sets, whose
+    # order of str keys follows the hash seed.
+    commands = golden_commands(tmp_path)
+    for digits, seed in itertools.product(("640", "0"), ("0", "12345")):
+        for name in ("bounds-k300", "build-psd-pair-quartic", "interval-sym"):
+            proc = run_python(["-m", "birank", *commands[name]], PYTHONINTMAXSTRDIGITS=digits, PYTHONHASHSEED=seed)
+            assert proc.returncode == 0, (name, digits, seed, proc.stderr)
+            assert hashlib.sha256(proc.stdout.encode()).hexdigest() == GOLDEN_DIGESTS[name], (name, digits, seed)
+
+
 def test_golden_export_cs_digest(tmp_path, capsys):
     export = tmp_path / "cs.json"
     argv = golden_commands(tmp_path)["interval-psd-pair"] + ["--export-cs", str(export)]
@@ -680,20 +710,24 @@ def test_golden_large_output_digests(tmp_path, capsys):
 
 
 def test_emit_holds_a_few_record_batches_not_the_text(tmp_path):
-    # The 1.8 MB system is written a batch of equations at a time; the
-    # whole text, and its encoded bytes, would each take the output's size.
-    obj = rankmin.system_to_json(rankmin.build_z2k(5, 2))
+    # The 1.8 MB system is built, and its equations' terms are written from
+    # the anti-chain rule a batch at a time; the whole text, and its
+    # encoded bytes, would each take the output's size.  Writing consumes
+    # the equation records, so the object is built once for each use.
+    def system():
+        return rankmin.system_to_json(rankmin.build_z2k(5, 2))
+
     path = tmp_path / "z2k.json"
     tracemalloc.start()
     try:
-        cli._emit(obj, str(path))
+        cli._emit(system(), str(path))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     size = path.stat().st_size
     assert size > 1_800_000
     assert peak < size / 2
-    assert path.read_text() == canonical_json(obj)
+    assert path.read_text() == canonical_json(system())
 
 
 def test_emit_opens_out_at_the_first_chunk(tmp_path, capsys):
@@ -757,8 +791,11 @@ def test_canonical_json_matches_stdlib_on_every_subcommand(tmp_path, capsys, mon
     emit = cli._emit
 
     def recording(obj, out_path):
-        emitted.append(obj)
-        emit(obj, out_path)
+        # An iterator is consumed by one write: record it as a list, and
+        # write an iterator over that list.
+        lists = {key: list(value) for key, value in obj.items() if isinstance(value, Iterator)}
+        emitted.append({**obj, **lists})
+        emit({**obj, **{key: iter(value) for key, value in lists.items()}}, out_path)
 
     monkeypatch.setattr(cli, "_emit", recording)
     indefinite = [[0.0, 0.5], [0.5, 0.0]]
@@ -873,6 +910,23 @@ ADVERSARIAL_SHAPES = [
 @pytest.mark.parametrize("obj", ADVERSARIAL_SHAPES)
 def test_canonical_json_matches_stdlib_on_adversarial_shapes(obj):
     assert canonical_json(obj) == stdlib_json(obj)
+
+
+def equation_records(count):
+    return [{"terms": [[0, i, i + 1, 1], [1, i, i + 1, -1]], "rhs": {"num": str(i), "den": "1"}}
+            for i in range(count)]
+
+
+ITERATED_RECORDS = [equation_records(count) for count in (0, 1, 127, 128, 129, 257)] + [
+    # Keys that differ inside the second batch.
+    equation_records(130) + [{"terms": [], "rhs": None, "extra": 1}] + equation_records(2),
+]
+
+
+@pytest.mark.parametrize("records", ITERATED_RECORDS, ids=lambda records: f"{len(records)}-records")
+def test_canonical_json_writes_records_from_an_iterator(records):
+    assert cli._BATCH == 128
+    assert canonical_json({"eqs": iter(records)}) == stdlib_json({"eqs": records})
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])

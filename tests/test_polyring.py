@@ -50,7 +50,7 @@ def test_arithmetic_small():
     p = (x1 + x2) * (x1 - x2)
     assert p == x1 * x1 - x2 * x2
     assert (p - p).is_zero()
-    assert (3 * x1).coefficient((1, 0)) == 3
+    assert (3 * x1).terms.get((1, 0)) == 3
 
 
 def test_arithmetic_results_match_validated_construction():

@@ -23,7 +23,6 @@ from birank.polyring import (
 )
 from birank.rankmin import (
     ConstraintSystem,
-    LinearEquation,
     _axis_polynomials,
     _chain_solution,
     _gcd,
@@ -36,12 +35,14 @@ from birank.rankmin import (
     _sample_blocks,
     _sample_ranker,
     _skew_directions,
+    _variable_layout,
     _vanishes_at,
     _witness_clears,
     build_affine_system,
     build_psd_pair_system,
     build_sym_system,
     build_z2k,
+    equation_terms,
     minrank_interval,
     multilinear_index_set,
     system_to_json,
@@ -49,15 +50,19 @@ from birank.rankmin import (
 from gram_oracle import (
     _linear_system,
     check_solution,
+    dense_rows,
     gram_expand,
     insert_zeros,
     project_pair_to_z2k,
     projection_sandwich,
     rational_roots_by_divisors,
+    reference_terms,
     sampled_upper,
     solve_feasible,
     solve_linear,
     system_from_json,
+    term_chains,
+    term_equations,
 )
 from perm_oracle import hessian_perm_fast
 
@@ -86,8 +91,8 @@ def test_affine_system_shape():
     assert cs.half_degree == 1
     assert len(cs.equations) == monomial_count(2, 2)
     # One equation per degree-2 monomial, split entries only.
-    for eq in cs.equations:
-        for block, i, j, coef in eq.terms:
+    for terms in equation_terms(cs):
+        for block, i, j, coef in terms:
             assert block == 0
             assert coef == 1
 
@@ -97,7 +102,7 @@ def test_sym_and_pair_flags():
     assert sym.symmetric and not sym.pair
     pair = build_psd_pair_system(sum_of_squares())
     assert pair.symmetric and pair.pair
-    blocks = {t[0] for eq in pair.equations for t in eq.terms}
+    blocks = {t[0] for terms in equation_terms(pair) for t in terms}
     assert blocks == {0, 1}
 
 
@@ -215,49 +220,42 @@ def test_minrank_interval_budget():
 
 
 def test_minrank_interval_infeasible():
+    # An empty equation with rhs 1 added to a built system.
     cs = build_affine_system(x1x2())
-    bad = ConstraintSystem(
-        size=cs.size,
-        pair=cs.pair,
-        symmetric=cs.symmetric,
-        num_vars=cs.num_vars,
-        half_degree=cs.half_degree,
-        basis=cs.basis,
-        equations=cs.equations
-        + (cs.equations[0].__class__(terms=(), rhs=Fraction(1)),),
-    )
+    grids, _ = _variable_layout(cs)
     with pytest.raises(ValueError):
-        minrank_interval(bad)
+        term_chains(grids, term_equations(cs) + [((), Fraction(1))])
 
 
 def hand_built(size, equations):
-    # A one-block system with unshared entries; no builder makes these.
-    return ConstraintSystem(
-        size=size, pair=False, symmetric=False, num_vars=1, half_degree=1, basis=(),
-        equations=tuple(LinearEquation(terms=tuple(t), rhs=Fraction(r)) for t, r in equations),
-    )
+    # (grids, count, equations as (terms, rhs)) of a one-block system with
+    # unshared entries; no builder makes these.
+    layout = ConstraintSystem(size=size, pair=False, symmetric=False, num_vars=1, half_degree=1,
+                              basis=(), equations=())
+    return (*_variable_layout(layout), [(tuple(t), Fraction(r)) for t, r in equations])
 
 
 def test_chain_pass_refuses_an_unknown_in_two_equations():
     # Feasible, and Gauss-Jordan solves it, but entry (0, 1) sits in two
     # equations, so the closed form does not hold.
-    cs = hand_built(2, [([(0, 0, 0, 1), (0, 0, 1, 1)], 1), ([(0, 0, 1, 1), (0, 1, 1, 1)], 2)])
-    assert solve_feasible(cs)
+    grids, count, equations = hand_built(2, [([(0, 0, 0, 1), (0, 0, 1, 1)], 1), ([(0, 0, 1, 1), (0, 1, 1, 1)], 2)])
+    assert solve_linear(*dense_rows(grids, count, equations))
     with pytest.raises(ValueError, match="appears in two equations"):
-        minrank_interval(cs)
+        term_chains(grids, equations)
 
 
 def test_chain_pass_refuses_an_empty_equation_with_nonzero_rhs():
     # Terms that cancel leave no nonzero coefficient; with rhs 0 such an
     # equation is dropped, with rhs 1 the system is infeasible.
     cancelled = [(0, 0, 1, 1), (0, 0, 1, -1)]
-    fine = hand_built(2, [([(0, 0, 0, 1)], 1), (cancelled, 0), ([(0, 1, 1, 1)], 2)])
-    assert minrank_interval(fine).free_dimension == 2
-    bad = hand_built(2, [([(0, 0, 0, 1)], 1), (cancelled, 1)])
+    grids, count, fine = hand_built(2, [([(0, 0, 0, 1)], 1), (cancelled, 0), ([(0, 1, 1, 1)], 2)])
+    chains = term_chains(grids, fine)
+    assert count - len(chains) == 2
+    assert len(_chain_solution(count, chains)[1]) == 2
+    grids, count, bad = hand_built(2, [([(0, 0, 0, 1)], 1), (cancelled, 1)])
+    assert solve_linear(*dense_rows(grids, count, bad)) is None
     with pytest.raises(ValueError, match="constraint system is infeasible"):
-        solve_feasible(bad)
-    with pytest.raises(ValueError, match="constraint system is infeasible"):
-        minrank_interval(bad)
+        term_chains(grids, bad)
 
 
 def perm4_slice():
@@ -269,10 +267,15 @@ def perm4_slice():
     [(lambda: build_z2k(5, 2), 12700), (lambda: build_sym_system(perm4_slice()), 5440)],
     ids=["z2k-d5-k2", "sym-perm4-slice"],
 )
-def test_budget_refusal_builds_no_direction(build, f):
+def test_budget_refusal_builds_no_direction(build, f, monkeypatch):
     # A dense basis would hold f * unknowns Fractions (12,700 * 14,520 for
-    # z2k); the chain count gives f before any direction exists.
+    # z2k); the equation count gives f before any chain exists.
     cs = build()
+
+    def unreachable(*args):
+        raise AssertionError("an over-budget system built its chains")
+
+    monkeypatch.setattr(rankmin, "_gram_chains", unreachable)
     start = time.perf_counter()
     with pytest.raises(ValueError, match=f"free dimension {f} exceeds budget 6"):
         minrank_interval(cs)
@@ -297,7 +300,8 @@ def gram_sweep():
 def test_chain_solution_equals_gauss_jordan_oracle():
     kinds = set()
     for cs in gram_sweep():
-        grids, count, chains = _gram_chains(cs)
+        grids, count = _variable_layout(cs)
+        chains = _gram_chains(cs, grids)
         particular, directions = _chain_solution(count, chains)
         oracle_grids, rows, rhs = _linear_system(cs)
         oracle_particular, oracle_basis = solve_linear(rows, rhs)
@@ -311,19 +315,45 @@ def test_chain_solution_equals_gauss_jordan_oracle():
     assert len(kinds) == 4
 
 
+# sha256 of the compact JSON of every equation's terms, and of every
+# rhs, one line per system, over gram_sweep() and z2k at d = 3..6 with
+# k = 1, 2: recorded when the builders still stored each equation's terms.
+TERMS_DIGEST = "98d161651aeb05bc1073382b06699c5f924b4e5e14fb2710577b132e37c01b95"
+RHS_DIGEST = "aaa76f92643e7b57f497a70aac384ddcdf371483eb05e9f48f02152adcbe45a9"
+
+
+def test_anti_chain_rule_matches_pairwise_builders_and_pin():
+    # The rule against the pairwise builders, and its chains disjoint with
+    # a nonzero coefficient each: so every equation fixes one unknown of
+    # its own, and f = unknowns - equations.
+    systems = list(gram_sweep()) + [build_z2k(d, k) for k in (1, 2) for d in range(3, 7) if d > 2 * k]
+    terms_digest, rhs_digest = hashlib.sha256(), hashlib.sha256()
+    for cs in systems:
+        terms = list(equation_terms(cs))
+        assert terms == reference_terms(cs)
+        grids, _ = _variable_layout(cs)
+        chains = term_chains(grids, zip(terms, (rhs for _, rhs in cs.equations)))
+        assert len(chains) == len(cs.equations)
+        assert chains == _gram_chains(cs, grids)
+        terms_digest.update((json.dumps(terms, separators=(",", ":")) + "\n").encode())
+        rhs_digest.update((json.dumps([str(rhs) for _, rhs in cs.equations], separators=(",", ":")) + "\n").encode())
+    assert (terms_digest.hexdigest(), rhs_digest.hexdigest()) == (TERMS_DIGEST, RHS_DIGEST)
+
+
 def test_skew_chain_rule_matches_dense_null_matrices():
     # The rule picks the shared-symmetric-part route exactly when every
     # oracle null matrix is skew.  The hand-built systems add a transposed
     # pair with opposite coefficients and a column in no equation.
-    systems = [cs for cs in gram_sweep() if not cs.symmetric and not cs.pair]
+    systems = [(*_variable_layout(cs), term_equations(cs))
+               for cs in gram_sweep() if not cs.symmetric and not cs.pair]
     systems.append(hand_built(2, [([(0, 0, 0, 1)], 1), ([(0, 0, 1, 1), (0, 1, 0, -1)], 0), ([(0, 1, 1, 1)], 1)]))
     systems.append(hand_built(2, [([(0, 0, 0, 1)], 1), ([(0, 0, 1, 1), (0, 1, 0, 1)], 0)]))
     outcomes = []
-    for cs in systems:
-        grids, count, chains = _gram_chains(cs)
+    for grids, count, equations in systems:
+        chains = term_chains(grids, equations)
         _, directions = _chain_solution(count, chains)
-        _, rows, rhs = _linear_system(cs)
-        zero = ExactMatrix.zeros(cs.size, cs.size)
+        rows, rhs = dense_rows(grids, count, equations)
+        zero = ExactMatrix.zeros(len(grids[0]), len(grids[0]))
         null_mats = [_matrices_from_vector(grids, vec)[0] for vec in solve_linear(rows, rhs)[1]]
         skew = all(n + n.transpose() == zero for n in null_mats)
         assert _skew_directions(grids[0], directions) == skew
@@ -445,10 +475,10 @@ def test_z2k_d3_k1_equations():
     assert cs.pair and cs.symmetric
     assert cs.size == 4
     assert len(cs.equations) == 6
-    ones = [eq for eq in cs.equations if eq.rhs == 1]
-    zeros = [eq for eq in cs.equations if eq.rhs == 0]
+    ones = [rhs for _, rhs in cs.equations if rhs == 1]
+    zeros = [rhs for _, rhs in cs.equations if rhs == 0]
     assert len(ones) == 2 and len(zeros) == 4
-    coefs = {c for eq in cs.equations for _, _, _, c in eq.terms}
+    coefs = {c for terms in equation_terms(cs) for _, _, _, c in terms}
     assert coefs <= {Fraction(1), Fraction(-1)}
     assert cs.scale == Fraction(-1, 2)
 
@@ -488,7 +518,7 @@ def test_projection_sandwich_counts():
 
 
 def term_types(cs):
-    return [tuple(map(type, t)) for eq in cs.equations for t in eq.terms]
+    return [tuple(map(type, t)) for terms in equation_terms(cs) for t in terms]
 
 
 def test_system_json_round_trip():
@@ -499,11 +529,16 @@ def test_system_json_round_trip():
         # Fraction(1) == 1, so equality alone would not see a changed type.
         assert back == cs
         assert term_types(back) == term_types(cs)
+        # json.dumps writes the generated records through its C encoder and,
+        # with an indent, through its Python one.
+        for indent in (None, 2):
+            assert system_from_json(json.loads(json.dumps(system_to_json(cs), indent=indent))) == cs
 
 
 @pytest.mark.parametrize("coef", [1.0, -1.0, True, "1", "-1", 2, 0])
 def test_system_from_json_reads_only_unit_integer_coefficients(coef):
     obj = system_to_json(build_affine_system(x1x2()))
+    obj["eqs"] = list(obj["eqs"])
     obj["eqs"][0]["terms"] = [[0, 0, 0, coef]]
     with pytest.raises(ValueError):
         system_from_json(obj)
@@ -514,8 +549,8 @@ def test_every_builder_stores_integer_coefficients():
     systems = [build(quartic) for build in (build_affine_system, build_sym_system, build_psd_pair_system)]
     systems.append(build_z2k(5, 2))
     for cs in systems:
-        for eq in cs.equations:
-            for term in eq.terms:
+        for terms in equation_terms(cs):
+            for term in terms:
                 # A type check: Fraction(1) == 1 would pass an equality test.
                 assert type(term[3]) is int and term[3] in (1, -1), term
         json.dumps(system_to_json(cs))
@@ -650,7 +685,8 @@ def test_integer_sampler_at_planted_low_rank_solutions():
 def z2k_oracle(d, k):
     # Exponent-list construction: left halves as 0/1 exponent tuples, right
     # halves by subtraction, the rhs from row and column sums of H read as
-    # a (d-1) x (d-1) matrix.
+    # a (d-1) x (d-1) matrix.  Returns the basis, each equation's terms and
+    # rhs, and the scale.
     m = d - 1
     num_vars = m * m
     basis = tuple(multilinear_index_set(num_vars, k))
@@ -674,21 +710,19 @@ def z2k_oracle(d, k):
             rows[pos // m] += e
             cols[pos % m] += e
         partial = max(rows) <= 1 and max(cols) <= 1
-        equations.append(LinearEquation(terms=tuple(terms), rhs=Fraction(int(partial))))
-    return ConstraintSystem(
-        size=len(basis), pair=True, symmetric=True, num_vars=num_vars, half_degree=k,
-        basis=basis, equations=tuple(equations),
-        scale=Fraction(-1, 2 * k * math.factorial(d - 2 * k - 1)),
-    )
+        equations.append((tuple(terms), Fraction(int(partial))))
+    return basis, equations, Fraction(-1, 2 * k * math.factorial(d - 2 * k - 1))
 
 
 @pytest.mark.parametrize("d,k", [(3, 1), (4, 1), (5, 1), (5, 2), (6, 1)])
 def test_z2k_matches_exponent_list_oracle(d, k):
     cs = build_z2k(d, k)
-    assert cs == z2k_oracle(d, k)
+    basis, equations, scale = z2k_oracle(d, k)
+    assert (cs.size, cs.pair, cs.symmetric, cs.num_vars, cs.half_degree) == (len(basis), True, True, (d - 1) ** 2, k)
+    assert (cs.basis, term_equations(cs), cs.scale) == (basis, equations, scale)
     # The rhs-1 monomials are the partial permutations of size 2k.
     m = d - 1
-    ones = sum(eq.rhs == 1 for eq in cs.equations)
+    ones = sum(rhs == 1 for _, rhs in cs.equations)
     assert ones == math.comb(m, 2 * k) ** 2 * math.factorial(2 * k)
 
 
