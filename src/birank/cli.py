@@ -14,18 +14,17 @@ Subcommands wire the library pipelines into scriptable JSON reports:
 
 All output is canonical JSON, so identical inputs and seeds produce
 byte-identical files.  The canonical text is defined as
-json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) plus a newline;
-canonical_json produces exactly those bytes, faster, through the stdlib's
-C encoder.  Exit codes: 0 success or accepted certificate, 2 rejected
-certificate, 1 any error.
+json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+plus a newline: one line, sorted keys, no NaN or infinity.  Exit codes: 0
+success or accepted certificate, 2 rejected certificate, 1 any error.
 
-Output is written in chunks, after each batch of records of a list or
-iterator, and a system's equations are made from its anti-chain rule as
-they are written, so the 12.8 MB z2k system is never held as terms or as
-one text.  The --out file is opened only at the first chunk: an object
-that fails before it, such as a NaN in a small report, writes nothing.
-A failure after it leaves a truncated --out file (or stdout) and exits
-1; no subcommand's large output holds floats.
+Output is written in batches of list items, each item from one call of the
+stdlib's C encoder, and a system's equations are made from its anti-chain
+rule as they are written, so the 2.6 MB z2k system is never held as terms
+or as one text.  The --out file is opened only at the first batch: an
+object that fails before it, such as a NaN in a small report, writes
+nothing.  A failure after it leaves a truncated --out file (or stdout) and
+exits 1; no subcommand's large output holds floats.
 
 Only certify computes in floating point, so numpy is loaded only when
 certify runs: its handler imports birank.certify, and no other
@@ -40,9 +39,7 @@ import math
 import sys
 from collections.abc import Iterator
 from fractions import Fraction
-from itertools import chain, islice, repeat
-from json.encoder import encode_basestring_ascii
-from operator import eq
+from itertools import chain, islice
 from typing import Tuple
 
 from birank import abpdec, exactla, permhess, polyring, rankmin
@@ -60,164 +57,51 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-# The item separator of the C encoder below.  ensure_ascii escapes every
-# control character inside a string, so in its output _SEP appears only
-# between items, and _ITEM, which it never writes, can mark where one item
-# of a column ends.
-_SEP = "\x00"
-_ITEM = "\x01"
-_ENCODE = json.JSONEncoder(sort_keys=True, allow_nan=False, separators=(_SEP, ": ")).encode
-_SCALARS = frozenset((str, int, float, bool, type(None)))
-_SEQUENCES = frozenset((list, tuple))
-# Records of a record list encoded, and written out by _emit, together:
-# about 130 kB of z2k equations.  While it writes a column of z2k terms,
-# the C encoder's own peak is about 25 times their compact text (Python
-# 3.11: 1.8 MB for 512 equations), so the batch sets the peak of _emit.
+_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False).encode
+# Pieces of text written out by _emit together, about 26 kB of z2k
+# equations: _emit holds one batch of text, and the C encoder one item.
 _BATCH = 128
 
 
 def canonical_json(obj) -> str:
-    """The canonical text of obj: exactly json.dumps(obj, sort_keys=True,
-    indent=2, allow_nan=False) plus a newline.
-
-    Any indent sends json.dumps through its pure-Python encoder.  Here
-    Python walks only the containers that hold containers; each list or
-    dict of scalars, and each list of non-empty scalar lists, is written
-    by one call of the C encoder, whose separators are then replaced by
-    the indented ones.  A list of dicts that share one set of str keys is
-    written a batch of records at a time, with one encoder call per key.
-    """
-    out = []
-    _write(obj, "\n", out, lambda: None)
-    out.append("\n")
-    return "".join(out)
+    """The canonical text of obj: json.dumps(obj, sort_keys=True,
+    separators=(",", ":"), allow_nan=False) plus a newline.  Unlike
+    json.dumps, it also writes an iterator, as a list."""
+    return "".join(_pieces(obj)) + "\n"
 
 
-def _column(values, newline: str):
-    """The canonical texts of values, each starting on the line that
-    newline ends, from one call of the C encoder: (opening, texts,
-    closing), where values[i] reads opening + texts[i] + closing.  None
-    unless values are all scalars, or all non-empty dicts of scalars, all
-    non-empty lists of scalars or all non-empty lists of non-empty scalar
-    lists."""
-    kinds = set(map(type, values))
-    if kinds <= _SCALARS:
-        return "", _ENCODE(values)[1:-1].split(_SEP), ""
-    if not all(values):
-        return None
-    inner = newline + "  "
-    # A scalar never ends in "}" or "]", so "}" _SEP "{" and "]" _SEP "["
-    # are exactly the separators between two containers.
-    if kinds == {dict}:
-        if not set(map(type, chain.from_iterable(map(dict.values, values)))) <= _SCALARS:
-            return None
-        text = _ENCODE(values)[2:-2].replace("}" + _SEP + "{", _ITEM)
-        return "{" + inner, text.replace(_SEP, "," + inner).split(_ITEM), newline + "}"
-    if not kinds <= _SEQUENCES:
-        return None
-    items = set(map(type, chain.from_iterable(values)))
-    if items <= _SCALARS:
-        text = _ENCODE(values)[2:-2].replace("]" + _SEP + "[", _ITEM)
-        return "[" + inner, text.replace(_SEP, "," + inner).split(_ITEM), newline + "]"
-    if not (items <= _SEQUENCES and all(chain.from_iterable(values))):
-        return None
-    if not set(map(type, chain.from_iterable(chain.from_iterable(values)))) <= _SCALARS:
-        return None
-    deeper = inner + "  "
-    text = _ENCODE(values)[3:-3].replace("]]" + _SEP + "[[", _ITEM)
-    text = text.replace("]" + _SEP + "[", inner + "]," + inner + "[" + deeper).replace(_SEP, "," + deeper)
-    return "[" + inner + "[" + deeper, text.split(_ITEM), inner + "]" + newline + "]"
-
-
-def _write(obj, newline: str, out: list, flush) -> None:
-    # newline is "\n" plus the indent of the line that obj starts on.
-    # flush is called after each batch of records of a list.
-    shape = _column((obj,), newline)
-    if shape:
-        opening, (text,), closing = shape
-        out += opening, text, closing
-        return
-    inner = newline + "  "
-    if isinstance(obj, (list, tuple, Iterator)):
-        _write_records(obj, newline, out, flush)
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{")
-        sep = inner
+def _pieces(obj) -> Iterator[str]:
+    """The canonical text of obj, less its newline, in pieces.  A dict is
+    walked in sorted key order and a list, tuple or iterator item by item;
+    each item, and each other value, is one call of the C encoder."""
+    if isinstance(obj, dict):
+        sep = "{"
         for key, value in sorted(obj.items()):
-            # json converts int, float, bool and None keys to strings.
-            key = encode_basestring_ascii(key) if isinstance(key, str) else _ENCODE({key: None})[1:-7]
-            out += sep, key, ": "
-            _write(value, inner, out, flush)
-            sep = "," + inner
-        out += newline, "}"
+            # json writes int, float, bool and None keys as strings.
+            yield sep + _ENCODE({key: None})[1:-5]
+            yield from _pieces(value)
+            sep = ","
+        yield "{}" if sep == "{" else "}"
+    elif isinstance(obj, (list, tuple, Iterator)):
+        sep = "["
+        for item in obj:
+            yield sep + _ENCODE(item)
+            sep = ","
+        yield "[]" if sep == "[" else "]"
     else:
-        out.append(_ENCODE(obj))
-
-
-def _write_records(records, newline: str, out: list, flush) -> None:
-    """The items of records, a list, tuple or iterator, as a JSON array, a
-    batch of _BATCH items at a time.  A batch of records, dicts whose first
-    one has only str keys, is followed by a flush, and when all have its
-    keys and _column can write every column, it is written column by
-    column; any other batch is written item by item."""
-    inner = newline + "  "
-    sep = "[" + inner
-    records = iter(records)
-    while batch := list(islice(records, _BATCH)):
-        keys = batch[0].keys() if set(map(type, batch)) == {dict} else ()
-        dicts = keys and set(map(type, keys)) == {str}
-        if not (dicts and all(map(eq, repeat(keys), map(dict.keys, batch)))
-                and _write_columns(batch, sep, newline, out)):
-            for record in batch:
-                out.append(sep)
-                _write(record, inner, out, flush)
-                sep = "," + inner
-        sep = "," + inner
-        if dicts:
-            flush()
-    out.append("[]" if sep[0] == "[" else newline + "]")
-
-
-def _write_columns(batch, sep: str, newline: str, out: list) -> bool:
-    # Record i reads sep_i "{" field key_1 ": " value_1 "," field key_2
-    # ... value_m inner "}": the constant texts between the values are
-    # shared by every record of the batch.
-    inner = newline + "  "
-    field = inner + "  "
-    parts = [chain((sep + "{",), repeat("," + inner + "{"))]
-    closing = ""
-    for key in sorted(batch[0]):
-        shape = _column([record[key] for record in batch], field)
-        if shape is None:
-            return False
-        opening, texts, after = shape
-        parts += repeat(closing + field + encode_basestring_ascii(key) + ": " + opening), texts
-        closing = after + ","
-    parts.append(repeat(closing[:-1] + inner + "}"))
-    out += chain.from_iterable(zip(*parts))
-    return True
+        yield _ENCODE(obj)
 
 
 def _emit(obj, out_path) -> None:
     """Write the canonical text of obj to the file out_path, or to stdout,
-    one record batch at a time.  The file is opened at the first write,
-    so an object that fails to encode before it writes nothing."""
-    out, file = [], None
-
-    def flush():
-        nonlocal file
-        if file is None:
-            file = open(out_path, "w") if out_path else sys.stdout
-        file.write("".join(out))
-        out.clear()
-
+    _BATCH pieces at a time.  The file is opened at the first write, so an
+    object that fails to encode in its first batch writes nothing."""
+    pieces, file = chain(_pieces(obj), ("\n",)), None
     try:
-        _write(obj, "\n", out, flush)
-        out.append("\n")
-        flush()
+        while text := "".join(islice(pieces, _BATCH)):
+            if file is None:
+                file = open(out_path, "w") if out_path else sys.stdout
+            file.write(text)
     finally:
         if out_path and file is not None:
             file.close()
@@ -231,6 +115,15 @@ def _load_json(path):
         raise UsageError(f"cannot read JSON from {path}: {exc}")
     except RecursionError:
         raise UsageError(f"cannot read JSON from {path}: nested too deeply")
+
+
+def _integer(text: str) -> int:
+    """The argparse type of every integer option: int(text), refused above
+    polyring.MAX_DIGITS digits like integer input."""
+    try:
+        return polyring.int_from_json(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _parse_point(text: str) -> Tuple[Fraction, ...]:
@@ -260,7 +153,7 @@ def _parse_degrees(text: str) -> Tuple[int, ...]:
 
 
 # The report costs about 0.2 ms at any d, so its cap is the range the
-# acceptance gate checks d by d.  The matrix has d^4 entries: 679 kB at 10.
+# acceptance gate checks d by d.  The matrix has d^4 entries: 258 kB at 10.
 HESSIAN_MAX_D = 1000
 HESSIAN_MATRIX_MAX_D = 10
 
@@ -503,7 +396,7 @@ def build_parser() -> _Parser:
         return p
 
     p = add("hessian", "rank/signature report for the permanent's Hessian")
-    p.add_argument("--d", type=int, required=True, help="matrix size, at least 2")
+    p.add_argument("--d", type=_integer, required=True, help="matrix size, at least 2")
     p.add_argument(
         "--include-matrix", action="store_true", help="embed the full Hessian entries"
     )
@@ -514,13 +407,13 @@ def build_parser() -> _Parser:
         help="system flavor",
     )
     p.add_argument("--poly", dest="poly_path", help="polynomial JSON (xp/sym/psd-pair)")
-    p.add_argument("--d", type=int, help="matrix size (z2k)")
-    p.add_argument("--k", type=int, help="half degree (z2k)")
+    p.add_argument("--d", type=_integer, help="matrix size (z2k)")
+    p.add_argument("--k", type=_integer, help="half degree (z2k)")
 
     p = add("decompose", "decompose a determinantal representation's slice")
     p.add_argument("--matrix", dest="matrix_path", required=True, help="affine matrix JSON")
     p.add_argument("--x0", required=True, help="comma-separated rational point")
-    p.add_argument("--k", type=int, required=True, help="half degree of the slice")
+    p.add_argument("--k", type=_integer, required=True, help="half degree of the slice")
 
     p = add("mv-det", "characteristic-coefficient polynomials of a linear matrix")
     p.add_argument("--matrix", dest="matrix_path", required=True, help="affine matrix JSON")
@@ -529,20 +422,20 @@ def build_parser() -> _Parser:
     p = add("brank-interval", "certified rank interval for a form's Gram systems")
     p.add_argument("--poly", dest="poly_path", required=True, help="polynomial JSON")
     p.add_argument("--kind", choices=list(_GRAM_BUILDERS), help="system flavor")
-    p.add_argument("--budget", type=int, default=6, help="max free dimension")
-    p.add_argument("--seed", type=int, default=0, help="seed for random sampling")
+    p.add_argument("--budget", type=_integer, default=6, help="max free dimension")
+    p.add_argument("--seed", type=_integer, default=0, help="seed for random sampling")
     p.add_argument("--export-cs", dest="export_cs", help="also write the system JSON here")
 
     p = add("certify", "certify a rank lower bound from hull vertices")
     p.add_argument("--vertices", dest="vertices_path", required=True, help="vertices JSON")
-    p.add_argument("--r", type=int, required=True, help="rank to refute")
+    p.add_argument("--r", type=_integer, required=True, help="rank to refute")
     p.add_argument("--tol", type=float, default=1e-9, help="relative tolerance")
     p.add_argument("--pair", action="store_true", help="vertices are (plus, minus) pairs")
 
     p = add("bounds", "determinantal-complexity bound calculators")
-    p.add_argument("--birank", type=int, required=True, help="bi-polynomial rank value")
-    p.add_argument("--k", type=int, required=True, help="half degree")
-    p.add_argument("--D", type=int, required=True, dest="big_d", help="number of variables")
+    p.add_argument("--birank", type=_integer, required=True, help="bi-polynomial rank value")
+    p.add_argument("--k", type=_integer, required=True, help="half degree")
+    p.add_argument("--D", type=_integer, required=True, dest="big_d", help="number of variables")
 
     return parser
 
@@ -559,9 +452,11 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    # Lift CPython's int/str digit limit (PYTHONINTMAXSTRDIGITS), so that no
-    # output depends on it; integer inputs have polyring.MAX_DIGITS instead.
-    if hasattr(sys, "set_int_max_str_digits"):
+    # Lift CPython's int/str digit limit (PYTHONINTMAXSTRDIGITS) while main
+    # runs, so that no output depends on it; integer inputs have
+    # polyring.MAX_DIGITS instead.  An in-process caller gets its limit back.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
         sys.set_int_max_str_digits(0)
     parser = build_parser()
     try:
@@ -578,6 +473,9 @@ def main(argv=None) -> int:
     except (ValueError, ArithmeticError, OSError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -443,7 +443,10 @@ def matrix_to_json(m: ExactMatrix) -> dict:
 def matrix_from_json(obj) -> ExactMatrix:
     if not isinstance(obj, dict) or "entries" not in obj:
         raise ValueError("matrix object needs 'entries'")
-    m = ExactMatrix([[fraction_from_json(v) for v in row] for row in obj["entries"]])
+    entries = obj["entries"]
+    if not (isinstance(entries, list) and all(isinstance(row, list) for row in entries)):
+        raise ValueError("matrix field 'entries' must be a list of rows, each a list")
+    m = ExactMatrix([[fraction_from_json(v) for v in row] for row in entries])
     if "rows" in obj and (m.rows != int_from_json(obj["rows"]) or m.cols != int_from_json(obj["cols"])):
         raise ValueError("matrix shape does not match declared size")
     return m
@@ -461,6 +464,8 @@ def affine_to_json(a: AffineMatrixPoly) -> dict:
 def affine_from_json(obj) -> AffineMatrixPoly:
     if not isinstance(obj, dict) or "const" not in obj or "coeff" not in obj:
         raise ValueError("affine matrix object needs 'const' and 'coeff'")
+    if not isinstance(obj["coeff"], list):
+        raise ValueError("affine matrix field 'coeff' must be a list of matrix objects")
     a = AffineMatrixPoly(matrix_from_json(obj["const"]), [matrix_from_json(c) for c in obj["coeff"]])
     if "n" in obj and a.n != int_from_json(obj["n"]):
         raise ValueError("affine matrix size mismatch")

@@ -347,8 +347,13 @@ def poly_from_json(obj) -> Polynomial:
     if not isinstance(obj, dict) or "num_vars" not in obj or "terms" not in obj:
         raise ValueError("polynomial object needs 'num_vars' and 'terms'")
     num_vars = int_from_json(obj["num_vars"])
+    terms = obj["terms"]
+    if not isinstance(terms, list) or not all(
+        isinstance(e, dict) and e.keys() >= {"exp", "num", "den"} and isinstance(e["exp"], list) for e in terms
+    ):
+        raise ValueError("polynomial field 'terms' must be a list of objects with an 'exp' list, 'num' and 'den'")
     acc = {}
-    for entry in obj["terms"]:
+    for entry in terms:
         exps = tuple(int_from_json(e) for e in entry["exp"])
         coeff = rational_from_json(entry["num"], entry["den"])
         if exps in acc:

@@ -645,10 +645,12 @@ class _Records(list):
 def system_to_json(cs: ConstraintSystem) -> dict:
     """The system in the triplet format.  Its "eqs" records are made from
     equation_terms as they are written, so one write consumes them."""
-    # One rhs object per distinct value, shared by its equations: z2k's
-    # 12,650 equations at d = 6 have two.
-    rhs = {value: fraction_to_json(value) for value in {value for _, value in cs.equations}}
-    records = ({"terms": terms, "rhs": rhs[value]}
+    # One rhs object per Fraction object, shared by its equations: z2k's
+    # 12,650 equations at d = 6 hold two.  Keyed by id(), as hashing a
+    # Fraction runs Python code.
+    values = {id(value): value for _, value in cs.equations}
+    rhs = {key: fraction_to_json(value) for key, value in values.items()}
+    records = ({"terms": terms, "rhs": rhs[id(value)]}
                for terms, (_, value) in zip(equation_terms(cs), cs.equations))
     return {
         "n": cs.size,

@@ -444,6 +444,56 @@ def test_integer_input_above_the_digit_cap_is_one_line_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("option", [
+    ["brank-interval", "--poly", "p.json", "--seed"],
+    ["bounds", "--k", "1", "--D", "1", "--birank"],
+    ["hessian", "--d"],
+], ids=lambda argv: argv[-1])
+def test_integer_option_above_the_digit_cap_is_one_line_error(capsys, option):
+    # A 130,000-digit --seed used to be parsed.  The message names the
+    # option and does not repeat the value.
+    assert_one_line_error(capsys, option + ["7" * 130_000], f"argument {option[-1]}: ", "more than 4300 digits")
+    assert_one_line_error(capsys, option + ["x"], f"argument {option[-1]}: ")
+
+
+@pytest.mark.parametrize("kind, change, field", [
+    ("poly", lambda p: p.update(terms=5), "'terms'"),
+    ("poly", lambda p: p.update(terms=[[t["exp"], t["num"], t["den"]] for t in p["terms"]]), "'terms'"),
+    ("poly", lambda p: p["terms"][0].update(exp=2), "'terms'"),
+    ("poly", lambda p: p["terms"][0].pop("den"), "'terms'"),
+    ("matrix", lambda a: a["const"].update(entries=3), "'entries'"),
+    ("matrix", lambda a: a["coeff"][1].update(entries=[1, 2]), "'entries'"),
+    ("matrix", lambda a: a.update(coeff=5), "'coeff'"),
+], ids=["terms-int", "terms-lists", "exp-int", "term-without-den", "entries-int", "rows-ints", "coeff-int"])
+def test_input_field_of_the_wrong_type_is_named(tmp_path, capsys, kind, change, field):
+    # Each used to print Python's own message, such as "'int' object is not
+    # iterable".
+    source = x1x2_file(tmp_path) if kind == "poly" else perm2_matrix_file(tmp_path)
+    with open(source) as fh:
+        obj = json.load(fh)
+    change(obj)
+    path = write_json(tmp_path / "input.json", obj)
+    argv = ["brank-interval", "--poly", path] if kind == "poly" else ["mv-det", "--matrix", path]
+    assert_one_line_error(capsys, argv, field)
+
+
+def test_main_restores_the_digit_limit(capsys):
+    # main lifts the interpreter's digit limit while it runs and used to
+    # leave it lifted.  bounds-k300 prints integers of up to 723 digits.
+    before = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        code, out = run(capsys, ["bounds", "--birank", "5", "--k", "300", "--D", "9"])
+        assert code == 0 and sha256(out) == GOLDEN_COMPACT_DIGESTS["bounds-k300"]
+        assert sys.get_int_max_str_digits() == 640
+        for argv in (["hessian", "--d", "1"], ["--help"]):
+            main(argv)
+            assert sys.get_int_max_str_digits() == 640, argv
+    finally:
+        sys.set_int_max_str_digits(before)
+    capsys.readouterr()
+
+
 def test_non_utf8_file_names_its_path(tmp_path, capsys):
     path = tmp_path / "latin1.json"
     path.write_bytes(b'{"vertices": [[[1.0]]], "note": "\xff"}')
@@ -592,6 +642,8 @@ def binary_quartic_file(tmp_path):
     return write_json(tmp_path / "quartic.json", poly_to_json(p))
 
 
+# Digests of each output re-rendered by indented(): they pin its content
+# since before the canonical text became compact.
 GOLDEN_DIGESTS = {
     "hessian-d2": "ec1021919e435a6138ee1ff146eec626a0aece8c5cc8035596c1f35c72c55191",
     "hessian-d3": "d4dd2b5bb638a87983b62bfb44d0d8fdda5ea41cf70b539a98de9dda1611b1fd",
@@ -629,6 +681,44 @@ GOLDEN_DIGESTS = {
     "hessian-d10-matrix": "02d2a14c1dd8fe7336499fd1c3197ac173f3fd92273e11e4021ae20b18bfc512",
 }
 
+# Digests of the output bytes, the compact canonical text.
+GOLDEN_COMPACT_DIGESTS = {
+    "hessian-d2": "ae830367a63333abff012378df934735d93a27b4a8cf7a0a3319a62d429def97",
+    "hessian-d3": "0282962d0bb6988b4e62978a15667db696057d9903d788dd10fef8a092f2609b",
+    "hessian-d4": "daf82221b5faf8295538942a1c30fe25ed4647238fc369bdded661d686e0d6c7",
+    "hessian-d5": "222a9d7d0edd3495d0b81a0dbec1d7d3c5ef58e51b7ae0b56d5ca81c86d6c0f8",
+    "hessian-d6": "7cd6e4b24fd6c5a4430b5c7ae0abf8bbdc9f98293aa9894b70f35e3ef6c6ef49",
+    "hessian-d7": "dfb7764e8a2773d429ad8cea9113cbba77cb67a73ed4954bef97a9c177eab66a",
+    "hessian-d8": "cd6e987cc8f16ca15c22c2d0bf9c0951502aec9788bb3b5585ccad6d3244daba",
+    "hessian-d9": "a1f3db778a3dfea4410d3e0113fbb9e8e41e8d5e50874b99457183e43b7e6d6b",
+    "hessian-d10": "0dd130359d8b6ee9fe1e7083c4b36324e8941749d0b7127d99af1aab91fa5f16",
+    "hessian-d5-matrix": "56f860632d9916fa7cbf9aad0d9f5583e6063acf8b60095d2a9a1e20dc0e0c44",
+    "hessian-d2-matrix": "209f949ccf4f52cc6379d328281d2b72f7684a03dc862cf5023a9596340bc62d",
+    "hessian-d3-matrix": "0594835bc3e6bb26c44921ca8669a78b2dab02403ac993eedbfc91f706a52fb5",
+    "hessian-d4-matrix": "c51820101ff2a153141c14f43f17d6a37f56dac8d8d38b2de22960308db584bf",
+    "bounds-k2": "3f4a2ed2f9cf5b76062b6ae50cb52c376bcda10210baf05145a6e6d2962b9e9e",
+    "bounds-k300": "ae7f971c4ec685fd92f876ea5e7dae5c195851ad8a94ac8f1436cebfd6ad1304",
+    "decompose-k1": "972524168c0a7b5d8bb486a6662e46d9a2a76cc66d790126a3f1f37be460bb34",
+    "decompose-k2": "ee1d86fa91fa9383aba02f348f4b0d5c5fc9b937b9618cf3a359c3bf39774733",
+    "decompose-7x7-k2": "458c981c803f318b04022acfd70d20db0afdbcefdbbdfb4f895e6268b68ecb12",
+    "interval-xp": "d8e65d27ef249aa8e69c3540f73c9ffa508f317fb3867d8e82392f6e85574519",
+    "interval-sym": "4cbdb9bb84a03ca4a75fa0f47fde357f34832572369b45dd4ac5427bd67cb558",
+    "mv-det": "fe9857d48180bd9bcde126842ff6e6d4a577bd9fddb8b9e6b574b33280e4ffe4",
+    "interval-psd-pair": "03aa42fa2dd2f46f124965542479b2919b88b94e8f9828c95ef075cfef3ade52",
+    "build-z2k-d5-k2": "17f8e9f2429ce73cf0ce6dd0cf1de0ae0f47b8f81ce800fbb045071893de96e1",
+    "decompose-7x7-k3": "caf591e19682a3ea89a43c84a40d3eba379ba2e2de50624d8e211da5a6fde7cf",
+    "decompose-7x7-corank4-k2": "076b452cbbdc1cc018ceeaa8b386f4e1366d6694fea154861106d744ecf4a3ea",
+    "mv-det-6x6": "4ee80d6ce537d10c9e40eeb57c418a82ea78e16a633e00420e71c861cbe63115",
+    "build-xp-quartic": "9564af134a28a232c3f29b5a73109d1491ee03ca245b3e631c10bfeb692fdda2",
+    "build-sym-quartic": "59be10836b8a95a76f2c63ae2534cf20bc88324fab61b4eaa97eab8473c880d1",
+    "build-psd-pair-quartic": "f941a4059809bb38f647b1be2b2f911a37d64bc81140f51de1b71a8ccad08734",
+    # The file written by --export-cs, not stdout.
+    "interval-psd-pair-export-cs": "f941a4059809bb38f647b1be2b2f911a37d64bc81140f51de1b71a8ccad08734",
+    # The largest outputs, of LARGE_GOLDEN_COMMANDS.
+    "build-z2k-d6-k2": "9b125b703062197aeae96deac3fc51a24627c1c202eea2dd3f4125fae804176e",
+    "hessian-d10-matrix": "188eb783c0f1f3fb21fd8696851225ddd3d092500629fb9542bff15b029a5d88",
+}
+
 
 def golden_commands(tmp_path):
     rep, x0 = leading_zero_rep_file(tmp_path)
@@ -661,11 +751,28 @@ def golden_commands(tmp_path):
     }
 
 
+def indented(text):
+    # The canonical text up to its compact layout: json.loads of an output
+    # re-rendered with indent=2.
+    return json.dumps(json.loads(text), sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def sha256(text):
+    return hashlib.sha256(text if isinstance(text, bytes) else text.encode()).hexdigest()
+
+
+def assert_golden(name, text, content=True):
+    # The bytes of the output, and (unless content is False) its content.
+    assert sha256(text) == GOLDEN_COMPACT_DIGESTS[name], name
+    assert not content or sha256(indented(text)) == GOLDEN_DIGESTS[name], name
+
+
 def test_golden_stdout_digests(tmp_path, capsys):
+    assert GOLDEN_COMPACT_DIGESTS.keys() == GOLDEN_DIGESTS.keys()
     for name, argv in golden_commands(tmp_path).items():
         code, out = run(capsys, argv)
         assert code == 0, name
-        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_DIGESTS[name], name
+        assert_golden(name, out)
 
 
 def test_golden_digests_do_not_depend_on_interpreter_settings(tmp_path):
@@ -677,7 +784,7 @@ def test_golden_digests_do_not_depend_on_interpreter_settings(tmp_path):
         for name in ("bounds-k300", "build-psd-pair-quartic", "interval-sym"):
             proc = run_python(["-m", "birank", *commands[name]], PYTHONINTMAXSTRDIGITS=digits, PYTHONHASHSEED=seed)
             assert proc.returncode == 0, (name, digits, seed, proc.stderr)
-            assert hashlib.sha256(proc.stdout.encode()).hexdigest() == GOLDEN_DIGESTS[name], (name, digits, seed)
+            assert sha256(proc.stdout) == GOLDEN_COMPACT_DIGESTS[name], (name, digits, seed)
 
 
 def test_golden_export_cs_digest(tmp_path, capsys):
@@ -685,13 +792,12 @@ def test_golden_export_cs_digest(tmp_path, capsys):
     argv = golden_commands(tmp_path)["interval-psd-pair"] + ["--export-cs", str(export)]
     code, out = run(capsys, argv)
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_DIGESTS["interval-psd-pair"]
-    assert hashlib.sha256(export.read_bytes()).hexdigest() == GOLDEN_DIGESTS["interval-psd-pair-export-cs"]
+    assert_golden("interval-psd-pair", out)
+    assert_golden("interval-psd-pair-export-cs", export.read_text())
 
 
-# Kept out of golden_commands, whose every command is also written by the
-# stdlib's pure-Python encoder in the tests: that takes seconds on the
-# 12.8 MB z2k system.
+# Kept out of golden_commands, whose every command the reach guard runs
+# under a profiler: that takes seconds on the 2.6 MB z2k system.
 LARGE_GOLDEN_COMMANDS = {
     "build-z2k-d6-k2": ["build", "--kind", "z2k", "--d", "6", "--k", "2"],
     "hessian-d10-matrix": ["hessian", "--d", "10", "--include-matrix"],
@@ -703,31 +809,31 @@ def test_golden_large_output_digests(tmp_path, capsys):
     for name, argv in LARGE_GOLDEN_COMMANDS.items():
         code, out = run(capsys, argv)
         assert code == 0, name
-        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_DIGESTS[name], name
+        assert_golden(name, out)
         path = tmp_path / f"{name}.json"
         assert main(argv + ["--out", str(path)]) == 0, name
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_DIGESTS[name], name
+        assert_golden(name, path.read_bytes(), content=False)
 
 
 def test_emit_holds_a_few_record_batches_not_the_text(tmp_path):
-    # The 1.8 MB system is built, and its equations' terms are written from
-    # the anti-chain rule a batch at a time; the whole text, and its
-    # encoded bytes, would each take the output's size.  Writing consumes
-    # the equation records, so the object is built once for each use.
-    def system():
-        return rankmin.system_to_json(rankmin.build_z2k(5, 2))
-
+    # The 354 kB system's equations' terms are written from the anti-chain
+    # rule a batch at a time; the whole text, and its encoded bytes, would
+    # each take the output's size.  The system is built before tracing: its
+    # 1,820 equations take about 0.25 MB, near the text's own size.
+    # Writing consumes the equation records, so the object is made once
+    # for each use.
+    cs = rankmin.build_z2k(5, 2)
     path = tmp_path / "z2k.json"
     tracemalloc.start()
     try:
-        cli._emit(system(), str(path))
+        cli._emit(rankmin.system_to_json(cs), str(path))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     size = path.stat().st_size
-    assert size > 1_800_000
+    assert size > 350_000
     assert peak < size / 2
-    assert path.read_text() == canonical_json(system())
+    assert path.read_text() == canonical_json(rankmin.system_to_json(cs))
 
 
 def test_emit_opens_out_at_the_first_chunk(tmp_path, capsys):
@@ -775,7 +881,7 @@ def every_subcommand(tmp_path):
 
 def stdlib_json(obj):
     # The definition of the canonical text.
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 def first_difference(a, b):

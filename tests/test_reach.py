@@ -35,7 +35,11 @@ ALLOWLIST = {
     "cli._Parser.error": "runs on bad usage only, which exits 1",
     "cli.canonical_json": (
         "the canonical text as one string, for the tests and perfbench's checks; "
-        "_emit writes the same text in chunks"
+        "_emit writes the same pieces in batches"
+    ),
+    "rankmin._Records.__len__": (
+        "json.dumps(..., indent=2) reads it, or 'eqs' comes out empty; test_rankmin round-trips "
+        "through that path, and _Records stays because perfbench's test runs json.dumps on system_to_json"
     ),
     "exactla.ExactMatrix.__setattr__": "immutability guard: raises on an assignment no caller makes",
     "exactla.AffineMatrixPoly.__setattr__": "immutability guard: raises on an assignment no caller makes",
