@@ -18,13 +18,14 @@ json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 plus a newline: one line, sorted keys, no NaN or infinity.  Exit codes: 0
 success or accepted certificate, 2 rejected certificate, 1 any error.
 
-Output is written in batches of list items, each item from one call of the
-stdlib's C encoder, and a system's equations are made from its anti-chain
-rule as they are written, so the 2.6 MB z2k system is never held as terms
-or as one text.  The --out file is opened only at the first batch: an
-object that fails before it, such as a NaN in a small report, writes
-nothing.  A failure after it leaves a truncated --out file (or stdout) and
-exits 1; no subcommand's large output holds floats.
+Output is written in pieces, each list item from one call of the stdlib's
+C encoder, and a system's equations are an iterator, made from its
+anti-chain rule as they are written, so the 2.6 MB z2k system is never
+held as terms or as one text.  The --out file is opened only once the
+text before the first iterator's items, and their first batch, have been
+encoded: a report, which holds no iterator, writes nothing if it fails to
+encode.  A failure in a later batch leaves a truncated --out file (or
+stdout) and exits 1; the equations hold no floats.
 
 Only certify computes in floating point, so numpy is loaded only when
 certify runs: its handler imports birank.certify, and no other
@@ -61,6 +62,8 @@ _ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=Fals
 # Pieces of text written out by _emit together, about 26 kB of z2k
 # equations: _emit holds one batch of text, and the C encoder one item.
 _BATCH = 128
+# The empty piece that _pieces yields before the items of an iterator.
+_STREAM = ""
 
 
 def canonical_json(obj) -> str:
@@ -83,6 +86,8 @@ def _pieces(obj) -> Iterator[str]:
             sep = ","
         yield "{}" if sep == "{" else "}"
     elif isinstance(obj, (list, tuple, Iterator)):
+        if isinstance(obj, Iterator):
+            yield _STREAM
         sep = "["
         for item in obj:
             yield sep + _ENCODE(item)
@@ -93,17 +98,21 @@ def _pieces(obj) -> Iterator[str]:
 
 
 def _emit(obj, out_path) -> None:
-    """Write the canonical text of obj to the file out_path, or to stdout,
-    _BATCH pieces at a time.  The file is opened at the first write, so an
-    object that fails to encode in its first batch writes nothing."""
-    pieces, file = chain(_pieces(obj), ("\n",)), None
+    """Write the canonical text of obj to the file out_path, or to stdout.
+    The first write holds the text up to the items of the first iterator
+    in obj and _BATCH pieces more; each later write holds _BATCH pieces.
+    The file is opened at the first write, so an object without an
+    iterator, such as a report, that fails to encode writes nothing."""
+    pieces = chain(_pieces(obj), ("\n",))
+    # iter() stops at the first _STREAM piece, or at the end of pieces.
+    text = "".join(chain(iter(pieces.__next__, _STREAM), islice(pieces, _BATCH)))
+    file = open(out_path, "w") if out_path else sys.stdout
     try:
-        while text := "".join(islice(pieces, _BATCH)):
-            if file is None:
-                file = open(out_path, "w") if out_path else sys.stdout
+        while text:
             file.write(text)
+            text = "".join(islice(pieces, _BATCH))
     finally:
-        if out_path and file is not None:
+        if out_path:
             file.close()
 
 
@@ -126,25 +135,40 @@ def _integer(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _parse_point(text: str) -> Tuple[Fraction, ...]:
+def _point(text: str) -> Tuple[Fraction, ...]:
+    """The argparse type of --x0: comma-separated rationals as Fraction()
+    reads them, each with a numerator and a denominator of at most
+    polyring.MAX_DIGITS digits.  The text of each, and its exponent, are
+    capped before it is read, so that reading stays cheap."""
+    too_long = argparse.ArgumentTypeError(
+        f"a coordinate has more than {polyring.MAX_DIGITS} digits, the cap on integer input"
+    )
     coords = []
     for part in text.split(","):
+        mantissa, _, exponent = part.strip().lower().partition("e")
+        if len(mantissa) > 2 * polyring.MAX_DIGITS + 2 or len(exponent) > 5:
+            raise too_long
         try:
-            coords.append(Fraction(part.strip()))
+            value = Fraction(part)
         except ValueError as exc:
-            raise UsageError(f"bad point {text!r}: {exc}")
+            raise argparse.ArgumentTypeError(f"bad point: {exc}")
         except ZeroDivisionError:
-            raise UsageError(f"bad point {text!r}: rational {part.strip()} has a zero denominator")
+            raise argparse.ArgumentTypeError(f"bad point: rational {part.strip()} has a zero denominator")
+        if max(abs(value.numerator), value.denominator) >= 10 ** polyring.MAX_DIGITS:
+            raise too_long
+        coords.append(value)
     return tuple(coords)
 
 
-def _parse_degrees(text: str) -> Tuple[int, ...]:
+def _degrees(text: str) -> Tuple[int, ...]:
+    """The argparse type of --degrees: comma-separated nonnegative
+    integers, each read like integer input."""
     try:
-        out = tuple(int(part.strip()) for part in text.split(","))
+        out = tuple(polyring.int_from_json(part) for part in text.split(","))
     except ValueError as exc:
-        raise UsageError(f"bad degree list {text!r}: {exc}")
+        raise argparse.ArgumentTypeError(f"bad degree list: {exc}")
     if any(v < 0 for v in out):
-        raise UsageError("degrees must be nonnegative")
+        raise argparse.ArgumentTypeError("degrees must be nonnegative")
     return out
 
 
@@ -159,7 +183,7 @@ HESSIAN_MATRIX_MAX_D = 10
 
 
 def cmd_hessian(args: argparse.Namespace) -> int:
-    if args.d is None or args.d < 2:
+    if args.d < 2:
         raise UsageError("hessian needs --d at least 2")
     if args.d > HESSIAN_MAX_D:
         raise UsageError(f"hessian --d {args.d} is too large: the cap is {HESSIAN_MAX_D}")
@@ -213,17 +237,14 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
-    x0 = _parse_point(args.x0) if args.x0 else None
-    if not args.matrix_path or x0 is None or args.k is None:
-        raise UsageError("decompose needs --matrix, --x0 and --k")
     if args.k < 1 or args.k > 3:
         raise UsageError("decompose supports --k between 1 and 3")
     a = exactla.affine_from_json(_load_json(args.matrix_path))
     if a.n > 10:
         raise UsageError("decompose supports matrices up to size 10")
-    if len(x0) != a.num_vars:
+    if len(args.x0) != a.num_vars:
         raise UsageError(f"--x0 needs {a.num_vars} coordinates")
-    result = abpdec.decompose_from_representation(a, x0, args.k)
+    result = abpdec.decompose_from_representation(a, args.x0, args.k)
     obj = {
         "n": result.n,
         "num_vars": result.num_vars,
@@ -238,14 +259,10 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def cmd_mv_det(args: argparse.Namespace) -> int:
-    degrees = _parse_degrees(args.degrees) if args.degrees else None
-    if not args.matrix_path:
-        raise UsageError("mv-det needs --matrix FILE")
     a = exactla.affine_from_json(_load_json(args.matrix_path))
     if a.n > 6:
         raise UsageError("mv-det supports matrices up to size 6")
-    if degrees is None:
-        degrees = tuple(range(a.n + 1))
+    degrees = args.degrees or range(a.n + 1)
     if any(v > a.n for v in degrees):
         raise UsageError(f"coefficient degrees run from 0 to {a.n}")
     coeffs = abpdec.char_coefficients(a, list(degrees))
@@ -258,8 +275,6 @@ def cmd_mv_det(args: argparse.Namespace) -> int:
 
 
 def cmd_brank_interval(args: argparse.Namespace) -> int:
-    if not args.poly_path:
-        raise UsageError("brank-interval needs --poly FILE")
     if args.budget < 0:
         raise UsageError("--budget must be nonnegative")
     p = polyring.poly_from_json(_load_json(args.poly_path))
@@ -313,8 +328,6 @@ def _non_number(vertices):
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
-    if not args.vertices_path or args.r is None:
-        raise UsageError("certify needs --vertices FILE and --r")
     if args.r < 0:
         raise UsageError("--r must be nonnegative")
     if not (math.isfinite(args.tol) and args.tol >= 0):
@@ -348,8 +361,6 @@ BOUNDS_MAX_K = 1308
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    if args.birank is None or args.k is None or args.big_d is None:
-        raise UsageError("bounds needs --birank, --k and --D")
     if args.birank < 0 or args.k < 1 or args.big_d < 1:
         raise UsageError("bounds needs --birank >= 0, --k >= 1, --D >= 1")
     if args.k > BOUNDS_MAX_K:
@@ -412,12 +423,12 @@ def build_parser() -> _Parser:
 
     p = add("decompose", "decompose a determinantal representation's slice")
     p.add_argument("--matrix", dest="matrix_path", required=True, help="affine matrix JSON")
-    p.add_argument("--x0", required=True, help="comma-separated rational point")
+    p.add_argument("--x0", type=_point, required=True, help="comma-separated rational point")
     p.add_argument("--k", type=_integer, required=True, help="half degree of the slice")
 
     p = add("mv-det", "characteristic-coefficient polynomials of a linear matrix")
     p.add_argument("--matrix", dest="matrix_path", required=True, help="affine matrix JSON")
-    p.add_argument("--degrees", help="comma-separated coefficient indices (default all)")
+    p.add_argument("--degrees", type=_degrees, help="comma-separated coefficient indices (default all)")
 
     p = add("brank-interval", "certified rank interval for a form's Gram systems")
     p.add_argument("--poly", dest="poly_path", required=True, help="polynomial JSON")

@@ -348,12 +348,13 @@ def poly_from_json(obj) -> Polynomial:
         raise ValueError("polynomial object needs 'num_vars' and 'terms'")
     num_vars = int_from_json(obj["num_vars"])
     terms = obj["terms"]
-    if not isinstance(terms, list) or not all(
-        isinstance(e, dict) and e.keys() >= {"exp", "num", "den"} and isinstance(e["exp"], list) for e in terms
-    ):
-        raise ValueError("polynomial field 'terms' must be a list of objects with an 'exp' list, 'num' and 'den'")
+    message = "polynomial field 'terms' must be a list of objects with an 'exp' list, 'num' and 'den'"
+    if not isinstance(terms, list):
+        raise ValueError(message)
     acc = {}
     for entry in terms:
+        if not (isinstance(entry, dict) and entry.keys() >= {"exp", "num", "den"} and isinstance(entry["exp"], list)):
+            raise ValueError(message)
         exps = tuple(int_from_json(e) for e in entry["exp"])
         coeff = rational_from_json(entry["num"], entry["den"])
         if exps in acc:

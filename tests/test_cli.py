@@ -448,12 +448,22 @@ def test_integer_input_above_the_digit_cap_is_one_line_error(tmp_path, capsys):
     ["brank-interval", "--poly", "p.json", "--seed"],
     ["bounds", "--k", "1", "--D", "1", "--birank"],
     ["hessian", "--d"],
+    ["decompose", "--matrix", "m.json", "--k", "1", "--x0"],
+    ["mv-det", "--matrix", "m.json", "--degrees"],
 ], ids=lambda argv: argv[-1])
 def test_integer_option_above_the_digit_cap_is_one_line_error(capsys, option):
     # A 130,000-digit --seed used to be parsed.  The message names the
     # option and does not repeat the value.
     assert_one_line_error(capsys, option + ["7" * 130_000], f"argument {option[-1]}: ", "more than 4300 digits")
     assert_one_line_error(capsys, option + ["x"], f"argument {option[-1]}: ")
+
+
+def test_x0_coordinate_above_the_digit_cap_is_one_line_error(capsys):
+    # A short exponent makes a long numerator or denominator: 1e999999999
+    # is refused before Fraction() builds 10^999999999.
+    decompose = ["decompose", "--matrix", "m.json", "--k", "1", "--x0"]
+    for x0 in ("1e999999999", "1e-4300", "1/1" + "0" * 4300):
+        assert_one_line_error(capsys, decompose + [x0], "argument --x0: ", "more than 4300 digits")
 
 
 @pytest.mark.parametrize("kind, change, field", [
@@ -816,40 +826,63 @@ def test_golden_large_output_digests(tmp_path, capsys):
 
 
 def test_emit_holds_a_few_record_batches_not_the_text(tmp_path):
-    # The 354 kB system's equations' terms are written from the anti-chain
-    # rule a batch at a time; the whole text, and its encoded bytes, would
-    # each take the output's size.  The system is built before tracing: its
-    # 1,820 equations take about 0.25 MB, near the text's own size.
-    # Writing consumes the equation records, so the object is made once
-    # for each use.
-    cs = rankmin.build_z2k(5, 2)
+    # The z2k system is built and written inside the traced window.  Its
+    # equations' terms are made from the anti-chain rule a batch at a time
+    # as they are written: held as term tuples they would take 1.8 MB, and
+    # the whole text, or its encoded bytes, the output's size.  Writing
+    # consumes the equation records, so the object is built once for each
+    # use.
     path = tmp_path / "z2k.json"
     tracemalloc.start()
     try:
-        cli._emit(rankmin.system_to_json(cs), str(path))
+        obj = rankmin.system_to_json(rankmin.build_z2k(5, 2))
+        built = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        cli._emit(obj, str(path))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     size = path.stat().st_size
     assert size > 350_000
-    assert peak < size / 2
-    assert path.read_text() == canonical_json(rankmin.system_to_json(cs))
+    # Half the size of the same system's 1.8 MB text with indent=2.
+    assert peak < 900_000
+    assert peak - built < size / 2
+    assert path.read_text() == canonical_json(rankmin.system_to_json(rankmin.build_z2k(5, 2)))
 
 
 def test_emit_opens_out_at_the_first_chunk(tmp_path, capsys):
-    # An object that fails to encode in its first chunk writes nothing.
+    # An object without an iterator that fails to encode writes nothing,
+    # however long its lists.
     path = tmp_path / "out.json"
-    for out_path in (str(path), None):
-        with pytest.raises(ValueError):
-            cli._emit({"mu": float("nan")}, out_path)
+    records = [{"a": 0.5}] * (2 * cli._BATCH) + [{"a": float("nan")}]
+    for obj in ({"mu": float("nan")}, {"a": records}):
+        for out_path in (str(path), None):
+            with pytest.raises(ValueError):
+                cli._emit(obj, out_path)
     assert not path.exists()
     assert capsys.readouterr().out == ""
-    # A failure in a later chunk leaves the chunks written before it.
-    records = [{"a": 0.5}] * cli._BATCH + [{"a": float("nan")}]
+    # An iterator's records are written in chunks: a failure in the first
+    # writes nothing, and one in a later chunk leaves the chunks before it.
     with pytest.raises(ValueError):
-        cli._emit(records, str(path))
+        cli._emit({"a": iter(records[-cli._BATCH:])}, str(path))
+    assert not path.exists()
+    with pytest.raises(ValueError):
+        cli._emit({"a": iter(records)}, str(path))
     written = path.read_text()
-    assert written and canonical_json(records[:cli._BATCH]).startswith(written)
+    assert written and canonical_json({"a": records[:-1]}).startswith(written)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_certify_report_that_fails_to_encode_writes_nothing(tmp_path, capsys):
+    # The last of 200 vertices has mu = 2.4e308, which overflows to inf,
+    # while the margin stays finite.  The report used to be written after
+    # its first 128 vertex_mu values, and --out kept the truncated text.
+    identity, big = ([[v if i == j else 0.0 for j in range(3)] for i in range(3)] for v in (1.0, 8e307))
+    vertices = [identity] * 199 + [big]
+    path = write_json(tmp_path / "vertices.json", {"vertices": vertices})
+    out = tmp_path / "out.json"
+    assert_one_line_error(capsys, ["certify", "--vertices", path, "--r", "0", "--out", str(out)], "JSON")
+    assert not out.exists()
 
 
 def every_subcommand(tmp_path):
